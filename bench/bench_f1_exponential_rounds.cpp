@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <utility>
 
 #include "core/api.hpp"
 #include "prob/binomial.hpp"
@@ -37,13 +38,17 @@ int main() {
     const int n = row.n;
     const int t = std::max(1, n / 7);
     const auto th = protocols::canonical_thresholds(n, t);
+    core::Experiment spec;
+    spec.inputs = protocols::split_inputs(n, 0.5);
+    spec.t = t;
+    spec.budget = 2'000'000;
+    const core::Runner runner(std::move(spec));
     RunningStats stats;
     std::vector<double> samples;
     for (int trial = 0; trial < row.trials; ++trial) {
       adversary::SplitKeeperAdversary keeper;
-      const auto r = core::run_window_experiment(
-          protocols::ProtocolKind::Reset, protocols::split_inputs(n, 0.5), t,
-          keeper, 2'000'000, 1000 + static_cast<std::uint64_t>(trial));
+      const auto r =
+          runner.run_window(keeper, 1000 + static_cast<std::uint64_t>(trial));
       stats.add(static_cast<double>(r.windows_to_first));
       samples.push_back(static_cast<double>(r.windows_to_first));
     }

@@ -5,6 +5,7 @@
 // adversary's leverage grows as the inputs approach an even split.
 #include <cstdio>
 #include <iostream>
+#include <utility>
 
 #include "core/api.hpp"
 
@@ -14,15 +15,17 @@ namespace {
 
 double mean_windows(sim::WindowAdversary& (*make)(), int n, int t, int ones,
                     int trials) {
+  core::Experiment spec;
+  spec.inputs.assign(static_cast<std::size_t>(n), 0);
+  for (int i = 0; i < ones; ++i) spec.inputs[static_cast<std::size_t>(i)] = 1;
+  spec.t = t;
+  spec.budget = 500000;
+  const core::Runner runner(std::move(spec));
   RunningStats stats;
   for (int trial = 0; trial < trials; ++trial) {
-    sim::WindowAdversary& adv = make();
-    std::vector<int> inputs(static_cast<std::size_t>(n), 0);
-    for (int i = 0; i < ones; ++i) inputs[static_cast<std::size_t>(i)] = 1;
-    const auto r = core::run_window_experiment(
-        protocols::ProtocolKind::Reset, inputs, t, adv, 500000,
-        4000 + static_cast<std::uint64_t>(trial) * 7 +
-            static_cast<std::uint64_t>(ones) * 1009);
+    const auto r = runner.run_window(
+        make(), 4000 + static_cast<std::uint64_t>(trial) * 7 +
+                    static_cast<std::uint64_t>(ones) * 1009);
     stats.add(static_cast<double>(r.windows_to_first));
   }
   return stats.mean();

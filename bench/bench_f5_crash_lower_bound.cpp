@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <utility>
 
 #include "core/api.hpp"
 #include "prob/binomial.hpp"
@@ -35,14 +36,18 @@ int main() {
                          Row{16, 6}}) {
     const int n = row.n;
     const int t = 1;
+    core::Experiment spec;
+    spec.kind = protocols::ProtocolKind::Forgetful;
+    spec.inputs = protocols::split_inputs(n, 0.5);
+    spec.t = t;
+    spec.budget = 500'000'000;
+    const core::Runner runner(std::move(spec));
     RunningStats rounds;
     RunningStats chain;
     for (int trial = 0; trial < row.trials; ++trial) {
       adversary::AsyncSplitKeeper keeper;
-      const auto r = core::run_async_experiment(
-          protocols::ProtocolKind::Forgetful, protocols::split_inputs(n, 0.5),
-          t, keeper, 500'000'000,
-          9000 + static_cast<std::uint64_t>(trial));
+      const auto r =
+          runner.run_async(keeper, 9000 + static_cast<std::uint64_t>(trial));
       if (!r.decided) continue;  // hit the (enormous) cap; skip
       // Rounds ≈ deliveries per round is n·T1; recover from chain instead:
       // each round adds 2 to the chain (vote + trigger), so chain/2 ≈ rounds.

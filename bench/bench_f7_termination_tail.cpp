@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdio>
 #include <iostream>
+#include <utility>
 
 #include "core/api.hpp"
 #include "prob/binomial.hpp"
@@ -27,12 +28,16 @@ int main() {
                                                              {12, 1},
                                                              {14, 2}}) {
     // Collect windows-to-first-decision samples.
+    core::Experiment spec;
+    spec.inputs = protocols::split_inputs(n, 0.5);
+    spec.t = t;
+    spec.budget = 1'000'000;
+    const core::Runner runner(std::move(spec));
     std::vector<double> samples;
     for (int trial = 0; trial < trials; ++trial) {
       adversary::SplitKeeperAdversary keeper;
-      const auto r = core::run_window_experiment(
-          protocols::ProtocolKind::Reset, protocols::split_inputs(n, 0.5), t,
-          keeper, 1'000'000, 7000 + static_cast<std::uint64_t>(trial));
+      const auto r =
+          runner.run_window(keeper, 7000 + static_cast<std::uint64_t>(trial));
       samples.push_back(static_cast<double>(r.windows_to_first));
     }
 

@@ -9,10 +9,8 @@
 //   1. engine runs (reset-agreement under split-keeper / fair adversaries):
 //      sustained windows/sec and deliveries/sec, plus the arena high-water
 //      mark sampled early and late — identical samples ⇒ flat live memory;
-//   2. a buffer-level A/B against a faithful replica of the pre-PR
-//      append-only MessageBuffer driven with the identical add / deliver /
-//      end-of-window-drop schedule — the reported speedup is the data
-//      structure delta alone.
+//   2. the buffer alone, driven with a synthetic add / deliver /
+//      end-of-window-drop schedule — the engine's buffer-only ceiling.
 //
 // Writes BENCH_m2_window_horizon.json (see bench_json.hpp).
 //
@@ -36,76 +34,10 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// ---- faithful replica of the pre-PR append-only buffer -------------------
-// Mirrors the seed's MessageBuffer: envelopes and states accumulate forever;
-// pending_to scans the receiver's full id history, pending_in_window scans
-// EVERY envelope ever sent. Kept here (not in the library) purely as the
-// bench baseline.
-class LegacyBuffer {
- public:
-  explicit LegacyBuffer(int n) : by_receiver_(static_cast<std::size_t>(n)) {}
-
-  sim::MsgId add(sim::ProcId sender, sim::ProcId receiver,
-                 const sim::Message& payload, std::int64_t window,
-                 std::int64_t chain) {
-    const sim::MsgId id = static_cast<sim::MsgId>(all_.size());
-    all_.push_back(sim::Envelope{id, sender, receiver, payload, window, chain});
-    state_.push_back(State::Pending);
-    by_receiver_[static_cast<std::size_t>(receiver)].push_back(id);
-    ++pending_;
-    return id;
-  }
-
-  void mark_delivered(sim::MsgId id) {
-    state_[static_cast<std::size_t>(id)] = State::Delivered;
-    --pending_;
-  }
-
-  [[nodiscard]] std::vector<sim::MsgId> pending_to(sim::ProcId receiver) const {
-    std::vector<sim::MsgId> out;
-    for (sim::MsgId id : by_receiver_[static_cast<std::size_t>(receiver)]) {
-      if (state_[static_cast<std::size_t>(id)] == State::Pending)
-        out.push_back(id);
-    }
-    return out;
-  }
-
-  [[nodiscard]] std::vector<sim::MsgId> pending_in_window(std::int64_t w) const {
-    std::vector<sim::MsgId> out;
-    for (std::size_t i = 0; i < all_.size(); ++i) {
-      if (state_[i] == State::Pending && all_[i].window == w)
-        out.push_back(static_cast<sim::MsgId>(i));
-    }
-    return out;
-  }
-
-  void drop_pending_in_window(std::int64_t w) {
-    for (sim::MsgId id : pending_in_window(w)) {
-      state_[static_cast<std::size_t>(id)] = State::Dropped;
-      --pending_;
-      ++dropped_;
-    }
-  }
-
-  [[nodiscard]] std::size_t total_sent() const { return all_.size(); }
-  [[nodiscard]] std::size_t dropped_count() const { return dropped_; }
-  [[nodiscard]] std::size_t bytes_resident() const {
-    return all_.capacity() * sizeof(sim::Envelope) + state_.capacity();
-  }
-
- private:
-  enum class State : std::uint8_t { Pending, Delivered, Dropped };
-  std::vector<sim::Envelope> all_;
-  std::vector<State> state_;
-  std::vector<std::vector<sim::MsgId>> by_receiver_;
-  std::size_t pending_ = 0;
-  std::size_t dropped_ = 0;
-};
-
-/// The synthetic per-window schedule both buffers run: n² adds, deliver the
-/// messages aimed at even receivers, window-drop the rest.
-template <typename Buffer>
-std::size_t drive_buffer(Buffer& buf, int n, std::int64_t windows) {
+/// The synthetic per-window buffer schedule: n² adds, deliver the messages
+/// aimed at even receivers, window-drop the rest.
+std::size_t drive_buffer(sim::MessageBuffer& buf, int n,
+                         std::int64_t windows) {
   sim::Message m;
   m.kind = 1;
   std::size_t delivered = 0;
@@ -114,16 +46,9 @@ std::size_t drive_buffer(Buffer& buf, int n, std::int64_t windows) {
       for (int r = 0; r < n; ++r) buf.add(s, r, m, w, 1);
     }
     for (int r = 0; r < n; r += 2) {
-      if constexpr (std::is_same_v<Buffer, LegacyBuffer>) {
-        for (sim::MsgId id : buf.pending_to(r)) {
-          buf.mark_delivered(id);
-          ++delivered;
-        }
-      } else {
-        for (const sim::Envelope& env : buf.pending_to(r)) {
-          buf.mark_delivered(env.id);
-          ++delivered;
-        }
+      for (const sim::Envelope& env : buf.pending_to(r)) {
+        buf.mark_delivered(env.id);
+        ++delivered;
       }
     }
     buf.drop_pending_in_window(w);
@@ -216,14 +141,12 @@ int main(int argc, char** argv) {
     j.set("engine_fair.live_memory_flat", r.slots_early == r.slots_late);
   }
 
-  // ---- buffer-level A/B: arena vs pre-PR append-only baseline ------------
-  double arena_s = 0;
-  double legacy_s = 0;
+  // ---- buffer-only ceiling ------------------------------------------------
   {
     sim::MessageBuffer buf(n);
     const auto start = std::chrono::steady_clock::now();
     const std::size_t delivered = drive_buffer(buf, n, windows);
-    arena_s = seconds_since(start);
+    const double arena_s = seconds_since(start);
     std::printf("buffer/arena        : %9.0f windows/s (%zu delivered, "
                 "%zu slots resident)\n",
                 windows / arena_s, delivered, buf.slot_capacity());
@@ -231,24 +154,6 @@ int main(int argc, char** argv) {
     j.set("buffer_arena.wall_seconds", arena_s);
     j.set("buffer_arena.slots_resident", buf.slot_capacity());
   }
-  {
-    LegacyBuffer buf(n);
-    const auto start = std::chrono::steady_clock::now();
-    const std::size_t delivered = drive_buffer(buf, n, windows);
-    legacy_s = seconds_since(start);
-    std::printf("buffer/legacy       : %9.0f windows/s (%zu delivered, "
-                "%.1f MiB resident)\n",
-                windows / legacy_s, delivered,
-                static_cast<double>(buf.bytes_resident()) / (1024.0 * 1024.0));
-    j.set("buffer_legacy.windows_per_sec", windows / legacy_s);
-    j.set("buffer_legacy.wall_seconds", legacy_s);
-    j.set("buffer_legacy.bytes_resident",
-          static_cast<std::int64_t>(buf.bytes_resident()));
-  }
-  const double speedup = legacy_s / arena_s;
-  std::printf("\nspeedup arena vs pre-PR buffer: %.1fx over %lld windows\n",
-              speedup, static_cast<long long>(windows));
-  j.set("speedup_vs_legacy", speedup);
 
   const std::string path = j.write();
   if (!path.empty()) std::printf("wrote %s\n", path.c_str());

@@ -1,22 +1,15 @@
-// Experiment M3: plan reuse + batched delivery — the driver-redesign A/B.
+// Experiment M3: plan reuse vs per-window replanning.
 //
 // The arena PR (M2) left a 2× gap between the buffer ceiling and the
 // engine: every window re-filled an n² WindowPlan, re-validated it, and
 // paid one virtual Process::on_receive per delivery. This bench isolates
-// what the adversary-API redesign buys back, per adversary, on a 10k-window
-// n = 32 run of reset-agreement:
+// what plan reuse buys, per adversary, on a 10k-window n = 32 run of
+// reset-agreement:
 //
-//   legacy_per_id  — faithful replica of the pre-PR driver: replan + full
-//                    re-validation every window, one receiving_step (and
-//                    its virtual on_receive) per delivery. Runs on the
-//                    current buffer, so the delta is the DRIVER redesign
-//                    alone (a lower bound on the gain vs the true pre-PR
-//                    engine — compare bench_m2 across commits for that).
-//   replan_batched — current driver forced to replan/re-validate every
-//                    window (adversary::ReplanEveryWindow): isolates the
-//                    batched-delivery gain.
-//   reuse_batched  — the full redesign: static adversaries reuse their
-//                    plan (kReusePrevious) and deliveries run batched.
+//   replan_batched — the driver forced to replan/re-validate every window
+//                    (adversary::ReplanEveryWindow).
+//   reuse_batched  — static adversaries reuse their plan (kReusePrevious);
+//                    deliveries run batched in both modes.
 //
 // Adversaries: fair and silencer (static plans — they exercise reuse) and
 // split-keeper (genuinely adaptive — replans every window by nature, so
@@ -46,84 +39,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Scratch for the legacy driver replica (mirrors the pre-PR
-/// run_acceptable_window internals, kept bench-local on purpose).
-struct LegacyScratch {
-  std::vector<sim::MsgId> batch;
-  std::vector<std::int32_t> pair_count;
-  std::vector<std::int32_t> pair_begin;
-  std::vector<sim::MsgId> pair_ids;
-  sim::WindowPlan plan;
-  sim::WindowScratch vscratch;  ///< for validate_window_plan's stamps
-};
-
-/// Faithful pre-PR driver: replan + validate every window, a counting-sort
-/// pair-index rebuild from per-id buffer lookups, and per-id
-/// receiving_step deliveries. (Publication itself now always runs through
-/// add_batch inside sending_step, so the delta this mode shows is the
-/// driver redesign minus the publication half — a lower bound.)
-int run_legacy_window(sim::Execution& exec, sim::WindowAdversary& adv, int t,
-                      LegacyScratch& sc) {
-  const int n = exec.n();
-  exec.begin_window_batch();  // plan_window_into needs the WindowBatch view
-  sc.batch.clear();
-  for (sim::ProcId p = 0; p < n; ++p) {
-    const auto pub = exec.sending_step(p);
-    sc.batch.insert(sc.batch.end(), pub.begin(), pub.end());
-  }
-  adv.prepare(n, t);  // clears any static-plan cache: forces a full refill
-  sc.plan.reset(n);
-  adv.plan_window_into(exec, exec.window_batch(), sc.plan);
-  sim::validate_window_plan(sc.plan, n, t, sc.vscratch);
-
-  const std::size_t nn =
-      static_cast<std::size_t>(n) * static_cast<std::size_t>(n);
-  sc.pair_count.assign(nn, 0);
-  const sim::MessageBuffer& buf = exec.buffer();
-  for (sim::MsgId id : sc.batch) {
-    const sim::Envelope& env = buf.get(id);
-    ++sc.pair_count[static_cast<std::size_t>(env.sender) *
-                        static_cast<std::size_t>(n) +
-                    static_cast<std::size_t>(env.receiver)];
-  }
-  sc.pair_begin.resize(nn + 1);
-  std::int32_t acc = 0;
-  for (std::size_t k = 0; k < nn; ++k) {
-    sc.pair_begin[k] = acc;
-    acc += sc.pair_count[k];
-    sc.pair_count[k] = 0;
-  }
-  sc.pair_begin[nn] = acc;
-  sc.pair_ids.resize(sc.batch.size());
-  for (sim::MsgId id : sc.batch) {
-    const sim::Envelope& env = buf.get(id);
-    const std::size_t k = static_cast<std::size_t>(env.sender) *
-                              static_cast<std::size_t>(n) +
-                          static_cast<std::size_t>(env.receiver);
-    sc.pair_ids[static_cast<std::size_t>(sc.pair_begin[k] +
-                                         sc.pair_count[k]++)] = id;
-  }
-
-  int deliveries = 0;
-  for (sim::ProcId i = 0; i < n; ++i) {
-    if (exec.crashed(i)) continue;
-    for (sim::ProcId s : sc.plan.delivery_order[static_cast<std::size_t>(i)]) {
-      const std::size_t k = static_cast<std::size_t>(s) *
-                                static_cast<std::size_t>(n) +
-                            static_cast<std::size_t>(i);
-      for (std::int32_t j = sc.pair_begin[k]; j < sc.pair_begin[k + 1]; ++j) {
-        const sim::MsgId id = sc.pair_ids[static_cast<std::size_t>(j)];
-        if (!exec.buffer().is_pending(id)) continue;
-        exec.receiving_step(id);
-        ++deliveries;
-      }
-    }
-  }
-  for (sim::ProcId p : sc.plan.resets) exec.resetting_step(p);
-  exec.end_window();
-  return deliveries;
-}
-
 enum class AdvKind { Fair, Silencer, SplitKeeper };
 
 std::unique_ptr<sim::WindowAdversary> make_adv(AdvKind kind, int t) {
@@ -141,7 +56,7 @@ std::unique_ptr<sim::WindowAdversary> make_adv(AdvKind kind, int t) {
   return nullptr;
 }
 
-enum class Mode { LegacyPerId, ReplanBatched, ReuseBatched };
+enum class Mode { ReplanBatched, ReuseBatched };
 
 struct RunStats {
   double windows_per_sec = 0;
@@ -159,12 +74,9 @@ RunStats run_mode(AdvKind akind, Mode mode, int n, int t,
     adv = std::make_unique<adversary::ReplanEveryWindow>(std::move(adv));
   }
   RunStats out;
-  LegacyScratch legacy;
   const auto start = std::chrono::steady_clock::now();
   for (std::int64_t w = 0; w < windows; ++w) {
-    out.deliveries += mode == Mode::LegacyPerId
-                          ? run_legacy_window(exec, *adv, t, legacy)
-                          : sim::run_acceptable_window(exec, *adv, t);
+    out.deliveries += sim::run_acceptable_window(exec, *adv, t);
   }
   out.windows_per_sec = static_cast<double>(windows) / seconds_since(start);
   return out;
@@ -172,7 +84,6 @@ RunStats run_mode(AdvKind akind, Mode mode, int n, int t,
 
 const char* mode_key(Mode m) {
   switch (m) {
-    case Mode::LegacyPerId: return "legacy_per_id";
     case Mode::ReplanBatched: return "replan_batched";
     case Mode::ReuseBatched: return "reuse_batched";
   }
@@ -190,8 +101,7 @@ int main(int argc, char** argv) {
   const int t = 5;  // t < n/6
   const std::int64_t windows = smoke ? 500 : 10000;
 
-  std::printf("M3: plan-reuse + batched-delivery A/B (n=%d, t=%d, %lld "
-              "windows%s)\n\n",
+  std::printf("M3: plan reuse vs replan (n=%d, t=%d, %lld windows%s)\n\n",
               n, t, static_cast<long long>(windows), smoke ? ", smoke" : "");
 
   bench::BenchJson j("m3_plan_reuse");
@@ -208,10 +118,7 @@ int main(int argc, char** argv) {
               {AdvKind::SplitKeeper, "split_keeper"}};
 
   for (const auto& a : advs) {
-    double legacy_wps = 0;
-    double reuse_wps = 0;
-    for (const Mode mode :
-         {Mode::LegacyPerId, Mode::ReplanBatched, Mode::ReuseBatched}) {
+    for (const Mode mode : {Mode::ReplanBatched, Mode::ReuseBatched}) {
       const RunStats r = run_mode(a.kind, mode, n, t, windows);
       std::printf("%-12s %-15s: %9.0f windows/s (%lld deliveries)\n", a.name,
                   mode_key(mode), r.windows_per_sec,
@@ -219,12 +126,8 @@ int main(int argc, char** argv) {
       const std::string key =
           std::string(a.name) + "." + mode_key(mode) + ".windows_per_sec";
       j.set(key, r.windows_per_sec);
-      if (mode == Mode::LegacyPerId) legacy_wps = r.windows_per_sec;
-      if (mode == Mode::ReuseBatched) reuse_wps = r.windows_per_sec;
     }
-    const double speedup = reuse_wps / legacy_wps;
-    std::printf("%-12s redesign vs legacy driver: %.2fx\n\n", a.name, speedup);
-    j.set(std::string(a.name) + ".speedup_vs_legacy_driver", speedup);
+    std::printf("\n");
   }
 
   const std::string path = j.write();

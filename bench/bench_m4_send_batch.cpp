@@ -9,14 +9,11 @@
 //     id-map insert that add_batch buys.
 //
 //   engine — the same probe as BENCH_m3 (reset-agreement, n=32, t=5, 10k
-//     windows): the full batched pipeline (add_batch publication + fused
-//     pair index + deliver_plan_row whole-list fast path) vs a
-//     per-message reference driver that delivers every message through
-//     receiving_step (per-id id-map lookups, one virtual on_receive per
-//     message) after an identical sending/planning phase. Adversaries:
-//     fair (whole-list splice), silencer (filtered splice), split-keeper
-//     (adversarial order → slow path; the publication + pair-index gains
-//     still show).
+//     windows) through the full batched pipeline (add_batch publication +
+//     fused pair index + deliver_plan_row). Adversaries: fair (whole-list
+//     splice), silencer (filtered splice), split-keeper (adversarial order
+//     → slow path). Fast-path vs per-message identity is pinned by
+//     tests/sim/test_send_batch.cpp.
 //
 // Writes BENCH_m4_send_batch.json (see bench_json.hpp).
 //
@@ -75,34 +72,6 @@ double publication_batched(int n, std::int64_t windows) {
 
 // ---- layer 2: engine windows/s --------------------------------------------
 
-/// Per-message reference: identical sending + planning phases, but every
-/// delivery is one receiving_step (per-id lookups, per-message virtual
-/// dispatch) — the path deliver_plan_row replaces.
-int run_reference_window(sim::Execution& exec, sim::WindowAdversary& adv,
-                         int t, sim::WindowPlan& plan) {
-  const int n = exec.n();
-  exec.begin_window_batch();
-  for (sim::ProcId p = 0; p < n; ++p) exec.sending_step(p);
-  adv.prepare(n, t);
-  plan.reset(n);
-  adv.plan_window_into(exec, exec.window_batch(), plan);
-  sim::validate_window_plan(plan, n, t);
-  const sim::WindowBatch batch = exec.window_batch();
-  int deliveries = 0;
-  for (sim::ProcId i = 0; i < n; ++i) {
-    if (exec.crashed(i)) continue;
-    for (sim::ProcId s : plan.delivery_order[static_cast<std::size_t>(i)]) {
-      for (sim::MsgId id : batch.from_to(s, i)) {
-        exec.receiving_step(id);
-        ++deliveries;
-      }
-    }
-  }
-  for (sim::ProcId p : plan.resets) exec.resetting_step(p);
-  exec.end_window();
-  return deliveries;
-}
-
 enum class AdvKind { Fair, Silencer, SplitKeeper };
 
 std::unique_ptr<sim::WindowAdversary> make_adv(AdvKind kind, int t) {
@@ -125,20 +94,16 @@ struct RunStats {
   std::int64_t deliveries = 0;
 };
 
-RunStats run_engine(AdvKind akind, bool per_message, int n, int t,
-                    std::int64_t windows) {
+RunStats run_engine(AdvKind akind, int n, int t, std::int64_t windows) {
   sim::Execution exec(
       protocols::make_processes(protocols::ProtocolKind::Reset, t,
                                 protocols::split_inputs(n, 0.5)),
       42);
   std::unique_ptr<sim::WindowAdversary> adv = make_adv(akind, t);
   RunStats out;
-  sim::WindowPlan ref_plan;
   const auto start = std::chrono::steady_clock::now();
   for (std::int64_t w = 0; w < windows; ++w) {
-    out.deliveries += per_message
-                          ? run_reference_window(exec, *adv, t, ref_plan)
-                          : sim::run_acceptable_window(exec, *adv, t);
+    out.deliveries += sim::run_acceptable_window(exec, *adv, t);
   }
   out.windows_per_sec = static_cast<double>(windows) / seconds_since(start);
   return out;
@@ -181,21 +146,12 @@ int main(int argc, char** argv) {
               {AdvKind::SplitKeeper, "split_keeper"}};
 
   for (const auto& a : advs) {
-    const RunStats ref = run_engine(a.kind, /*per_message=*/true, n, t, windows);
-    const RunStats fast = run_engine(a.kind, /*per_message=*/false, n, t, windows);
-    std::printf("%-12s per_message : %9.0f windows/s (%lld deliveries)\n",
-                a.name, ref.windows_per_sec,
-                static_cast<long long>(ref.deliveries));
+    const RunStats fast = run_engine(a.kind, n, t, windows);
     std::printf("%-12s batched     : %9.0f windows/s (%lld deliveries)\n",
                 a.name, fast.windows_per_sec,
                 static_cast<long long>(fast.deliveries));
-    const double speedup = fast.windows_per_sec / ref.windows_per_sec;
-    std::printf("%-12s speedup     : %.2fx\n\n", a.name, speedup);
-    j.set(std::string(a.name) + ".per_message.windows_per_sec",
-          ref.windows_per_sec);
     j.set(std::string(a.name) + ".batched.windows_per_sec",
           fast.windows_per_sec);
-    j.set(std::string(a.name) + ".speedup_vs_per_message", speedup);
   }
 
   const std::string path = j.write();

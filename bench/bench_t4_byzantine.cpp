@@ -14,6 +14,7 @@
 //     reset-agreement shrugs off. Neither adversary subsumes the other.
 #include <cstdio>
 #include <iostream>
+#include <utility>
 
 #include "core/api.hpp"
 
@@ -42,15 +43,20 @@ int main() {
                          Row{protocols::ProtocolKind::Reset, 13, 2}}) {
     for (int f = 1; f <= row.t; ++f) {
       for (const auto strategy : strategies) {
+        core::Experiment spec;
+        spec.kind = row.kind;
+        spec.inputs = protocols::split_inputs(row.n, 0.5);
+        spec.t = row.t;
+        spec.budget = 1200;  // max windows
+        spec.byzantine = core::ByzantineSpec{f, strategy, {}};
+        const core::Runner runner(std::move(spec));
         int agree = 0;
         int valid = 0;
         int done = 0;
         for (int trial = 0; trial < trials; ++trial) {
           adversary::FairWindowAdversary fair;
-          const auto r = core::run_byzantine_window_experiment(
-              row.kind, protocols::split_inputs(row.n, 0.5), row.t, f,
-              strategy, fair, /*max_windows=*/1200,
-              static_cast<std::uint64_t>(trial) * 11 + 3);
+          const auto r = runner.run_byzantine(
+              fair, static_cast<std::uint64_t>(trial) * 11 + 3);
           if (r.honest_agreement) ++agree;
           if (r.honest_validity) ++valid;
           if (r.honest_all_decided) ++done;

@@ -18,7 +18,10 @@ across resume/chaos/replay — rests on invariants no compiler checks:
                        lists only.
   banned-api           Removed/superseded APIs must not reappear:
                        plan_window( was replaced by plan_window_into(
-                       (scratch-reusing planning, PR 3).
+                       (scratch-reusing planning); the positional
+                       run_*_experiment wrappers and their core harness
+                       header were replaced by Experiment + Runner, and
+                       the FIFO thread pool by WorkStealingPool.
   envelope-member      No raw Envelope* stored in a data member: envelope
                        views are invalidated by publication and window
                        sweeps (the buffer.hpp contract), so a held pointer
@@ -78,6 +81,9 @@ class Rule:
     dirs: tuple         # repo-relative dir prefixes the rule applies to
     allow: tuple        # path substrings exempt without a waiver
     why: str            # one-line rationale shown with each finding
+    # Matched against the RAW text of preprocessor directive lines, which
+    # `pattern` never sees (banned headers live in #include strings).
+    directive: re.Pattern | None = None
 
 
 RULES = [
@@ -108,10 +114,18 @@ RULES = [
     Rule(
         name="banned-api",
         waiver="banned-ok",
-        pattern=re.compile(r"\bplan_window\s*\("),
+        pattern=re.compile(
+            r"\bplan_window\s*\("
+            r"|\brun_(?:window|async|byzantine_window)_experiment\s*\("
+            r"|\bThreadPool\b"
+        ),
         dirs=("src/", "tools/", "examples/", "bench/"),
         allow=(),
-        why="plan_window( was removed in PR 3 — use plan_window_into(",
+        why="removed API — plan_window( became plan_window_into(; the "
+            "run_*_experiment wrappers and their core harness header "
+            "became Experiment + Runner; the FIFO thread pool became "
+            "WorkStealingPool",
+        directive=re.compile(r"#\s*include\s*[<\"]core/harness\.hpp[>\"]"),
     ),
     Rule(
         name="envelope-member",
@@ -301,14 +315,18 @@ def lint_text(rel_path, text, rules, errors):
     """Findings for one file. Waiver problems are appended to `errors`."""
     code_lines, comment_lines = lex_lines(text)
     waivers = find_waivers(comment_lines)
+    raw_lines = text.splitlines()
     findings = []
     for rule in rules:
         for idx, line in enumerate(code_lines):
-            if not rule.pattern.search(line):
-                continue
             # #include <unordered_set> is not the hazard (iterating is),
-            # and <ctime>/<fstream> likewise — directives never trip rules.
+            # and <ctime>/<fstream> likewise — directives only trip a
+            # rule's `directive` pattern, matched on the raw line.
             if line.lstrip().startswith("#"):
+                if rule.directive is None or idx >= len(raw_lines) or \
+                        not rule.directive.search(raw_lines[idx]):
+                    continue
+            elif not rule.pattern.search(line):
                 continue
             # A waiver counts on the finding's line or the line above
             # (standalone waiver comment preceding the statement).
@@ -325,7 +343,7 @@ def lint_text(rel_path, text, rules, errors):
                 continue
             findings.append(Finding(
                 path=rel_path, line=idx + 1, rule=rule.name,
-                snippet=text.splitlines()[idx].strip()[:120],
+                snippet=raw_lines[idx].strip()[:120],
                 why=rule.why))
     return findings
 

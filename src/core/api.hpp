@@ -4,7 +4,7 @@
 //   * the §3 reset-tolerant agreement protocol and the baselines,
 //   * the acceptable-window and async simulation engines,
 //   * the adversary suite,
-//   * the experiment harness and measure-one checkers,
+//   * the Experiment + Runner API and the measure-one checkers,
 //   * the lower-bound machinery (Talagrand, Z-sets, Theorem 5 constants).
 #pragma once
 
@@ -15,7 +15,6 @@
 #include "core/exhaustive.hpp"
 #include "core/report.hpp"
 #include "core/experiment.hpp"
-#include "core/harness.hpp"
 #include "core/lowerbound.hpp"
 #include "core/zsets.hpp"
 #include "prob/binomial.hpp"

@@ -23,6 +23,54 @@
 
 namespace aa::core {
 
+WindowAdversaryFactory window_adversary_factory(const std::string& name,
+                                                int t) {
+  AA_REQUIRE(name == "fair" || name == "silencer" || name == "split-keeper" ||
+                 name == "reset-storm" || name == "random",
+             "unknown window adversary '" + name +
+                 "' (want fair|silencer|split-keeper|reset-storm|random)");
+  return [name, t](std::uint64_t seed) -> std::unique_ptr<sim::WindowAdversary> {
+    if (name == "fair") {
+      return std::make_unique<adversary::FairWindowAdversary>();
+    }
+    if (name == "silencer") {
+      std::vector<sim::ProcId> silenced;
+      for (int i = 0; i < t; ++i) silenced.push_back(i);
+      return std::make_unique<adversary::SilencerWindowAdversary>(silenced);
+    }
+    if (name == "split-keeper") {
+      return std::make_unique<adversary::SplitKeeperAdversary>();
+    }
+    if (name == "reset-storm") {
+      return std::make_unique<adversary::ResetStormAdversary>(
+          t, Rng(seed * 7 + 1));
+    }
+    return std::make_unique<adversary::RandomWindowAdversary>(
+        t, 0.1, Rng(seed * 9 + 2));
+  };
+}
+
+AsyncAdversaryFactory async_adversary_factory(const std::string& name,
+                                              int t) {
+  AA_REQUIRE(name == "random-async" || name == "fixed-crash" ||
+                 name == "async-split",
+             "unknown async adversary '" + name +
+                 "' (want random-async|fixed-crash|async-split)");
+  return [name, t](std::uint64_t seed) -> std::unique_ptr<sim::AsyncAdversary> {
+    if (name == "random-async") {
+      return std::make_unique<adversary::RandomAsyncScheduler>(
+          Rng(seed * 3 + 1));
+    }
+    if (name == "fixed-crash") {
+      std::vector<sim::ProcId> crash;
+      for (int i = 0; i < t; ++i) crash.push_back(i);
+      return std::make_unique<adversary::FixedCrashScheduler>(
+          crash, Rng(seed * 5 + 3));
+    }
+    return std::make_unique<adversary::AsyncSplitKeeper>();
+  };
+}
+
 namespace {
 
 // ---------------------------------------------------------------- parsing
@@ -120,53 +168,6 @@ std::optional<protocols::Thresholds> threshold_preset(const std::string& name,
   return std::nullopt;
 }
 
-/// The same named adversary menus report_probe and the examples use.
-WindowAdversaryFactory window_factory(const std::string& name, int t) {
-  AA_REQUIRE(name == "fair" || name == "silencer" || name == "split-keeper" ||
-                 name == "reset-storm" || name == "random",
-             "campaign: unknown window adversary '" + name +
-                 "' (want fair|silencer|split-keeper|reset-storm|random)");
-  return [name, t](std::uint64_t seed) -> std::unique_ptr<sim::WindowAdversary> {
-    if (name == "fair") {
-      return std::make_unique<adversary::FairWindowAdversary>();
-    }
-    if (name == "silencer") {
-      std::vector<sim::ProcId> silenced;
-      for (int i = 0; i < t; ++i) silenced.push_back(i);
-      return std::make_unique<adversary::SilencerWindowAdversary>(silenced);
-    }
-    if (name == "split-keeper") {
-      return std::make_unique<adversary::SplitKeeperAdversary>();
-    }
-    if (name == "reset-storm") {
-      return std::make_unique<adversary::ResetStormAdversary>(
-          t, Rng(seed * 7 + 1));
-    }
-    return std::make_unique<adversary::RandomWindowAdversary>(
-        t, 0.1, Rng(seed * 9 + 2));
-  };
-}
-
-AsyncAdversaryFactory async_factory(const std::string& name, int t) {
-  AA_REQUIRE(name == "random-async" || name == "fixed-crash" ||
-                 name == "async-split",
-             "campaign: unknown async adversary '" + name +
-                 "' (want random-async|fixed-crash|async-split)");
-  return [name, t](std::uint64_t seed) -> std::unique_ptr<sim::AsyncAdversary> {
-    if (name == "random-async") {
-      return std::make_unique<adversary::RandomAsyncScheduler>(
-          Rng(seed * 3 + 1));
-    }
-    if (name == "fixed-crash") {
-      std::vector<sim::ProcId> crash;
-      for (int i = 0; i < t; ++i) crash.push_back(i);
-      return std::make_unique<adversary::FixedCrashScheduler>(
-          crash, Rng(seed * 5 + 3));
-    }
-    return std::make_unique<adversary::AsyncSplitKeeper>();
-  };
-}
-
 /// Chaos presets for the `chaos_plan` sweep axis. "none" resolves to the
 /// config's own chaos knobs — the default axis value is exactly the
 /// pre-axis behavior — and the named presets inherit the config's censor
@@ -208,7 +209,7 @@ constexpr int kCampaignStarveBound = 8;
 WindowAdversaryFactory cell_window_factory(const CampaignConfig& config,
                                            const sim::FaultPlan& fp,
                                            const std::string& name, int t) {
-  WindowAdversaryFactory f = window_factory(name, t);
+  WindowAdversaryFactory f = window_adversary_factory(name, t);
   if (fp.enabled()) {
     f = [inner = std::move(f),
          fp](std::uint64_t seed) -> std::unique_ptr<sim::WindowAdversary> {
@@ -230,7 +231,7 @@ WindowAdversaryFactory cell_window_factory(const CampaignConfig& config,
 AsyncAdversaryFactory cell_async_factory(const CampaignConfig& config,
                                          const sim::FaultPlan& fp,
                                          const std::string& name, int t) {
-  AsyncAdversaryFactory f = async_factory(name, t);
+  AsyncAdversaryFactory f = async_adversary_factory(name, t);
   if (fp.enabled()) {
     f = [inner = std::move(f),
          fp](std::uint64_t seed) -> std::unique_ptr<sim::AsyncAdversary> {
@@ -624,12 +625,11 @@ bool compute_cell(const CampaignConfig& config, CampaignContext& ctx,
         config.trials, w.cell.seed0, ctx, &acc, lat_ptr, inline_trials);
   }
   if (rep.trials != config.trials) return false;  // cancelled mid-cell
-  // Report the accumulator's exact-division mean (identical fresh vs
-  // resumed), and persist the integer metric sum so --resume can rebuild
-  // it.
+  // The report is the accumulator's finalize() (identical fresh vs
+  // resumed); persist the integer metric sum so --resume can rebuild it.
   w.acc = std::move(acc);
   w.cell.metric_sum = w.acc.metric_sum();
-  w.cell.report = w.acc.finalize(config.model == CampaignModel::kAsync);
+  w.cell.report = std::move(rep);
   if (config.lens) {
     w.cell.lens_report = lat.finalize(w.cell.t);
     // Lens artifact FIRST: resume keys on the cell artifact, so a cell

@@ -8,9 +8,9 @@
 // seeded checker trials under one model (window or async). Cell order,
 // per-cell seed blocks, and the merged summary are functions of the config
 // ALONE: the same config produces byte-identical per-cell reports and
-// summary JSON at --threads 1 and --threads 8 (per-cell reports via the
-// checker's fixed-chunk merge, the summary via the exactly-associative
-// MeasureOneAccumulator — core/report.hpp).
+// summary JSON at --threads 1 and --threads 8 (per-cell reports and the
+// summary both finalize the exactly-associative MeasureOneAccumulator —
+// core/report.hpp).
 //
 // Config files are flat `key = value` text: one key per line, lists
 // comma-separated, `#` starts a comment. See CampaignConfig for the keys
@@ -21,11 +21,22 @@
 #include <string>
 #include <vector>
 
+#include "core/checker.hpp"
 #include "core/experiment.hpp"
 #include "core/report.hpp"
 #include "sim/fault.hpp"
 
 namespace aa::core {
+
+/// The named adversary menus behind the campaign `adversaries` axis, one
+/// factory per name; seeded adversaries draw from Rng streams derived from
+/// the trial seed. Window: fair, silencer, split-keeper, reset-storm,
+/// random. Async: random-async, fixed-crash, async-split. `t` is the
+/// adversary's budget. Throws on an unknown name.
+[[nodiscard]] WindowAdversaryFactory window_adversary_factory(
+    const std::string& name, int t);
+[[nodiscard]] AsyncAdversaryFactory async_adversary_factory(
+    const std::string& name, int t);
 
 /// Which checker a campaign's cells run.
 enum class CampaignModel {

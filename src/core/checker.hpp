@@ -7,16 +7,14 @@
 // adversary factory and report every violation with its seed, so any
 // failure is exactly reproducible.
 //
-// Two call shapes per checker:
-//   * The CampaignContext shape is the primary engine: trials shard onto
-//     the context's long-lived work-stealing pool and every worker reuses
-//     its per-context Execution scratch across trials AND across checks —
-//     build one context per campaign and pass it to every check.
-//   * The ParallelConfig shape is the legacy convenience wrapper: it
-//     builds a throwaway context per call (the pre-campaign cost model).
-// Both produce bit-identical reports at any thread count: chunk boundaries
-// and the partial-merge order depend only on (trials, chunk_size), see
-// util/thread_pool.hpp.
+// Every check runs on a CampaignContext: trials shard onto the context's
+// long-lived work-stealing pool and every worker reuses its per-context
+// Execution scratch across trials AND across checks — build one context
+// per campaign and pass it to every check. Reports are bit-identical at
+// any thread count: chunk boundaries depend only on (trials, chunk_size)
+// (util/thread_pool.hpp), and the report is the exactly-associative
+// MeasureOneAccumulator's finalize() (core/report.hpp), the same
+// aggregation campaign cells use.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "core/harness.hpp"
+#include "core/experiment.hpp"
 #include "core/report.hpp"
 #include "util/thread_pool.hpp"
 
@@ -41,9 +39,9 @@ using AsyncAdversaryFactory =
 /// `spec` (budget = max acceptable windows; the stop condition is forced
 /// to kAllDecided), seeds seed0, seed0+1, ... Trials are sharded across
 /// the context's pool per ctx.parallel(); the report is bit-identical at
-/// any thread count. When `acc` is non-null the per-trial verdicts are
-/// ALSO folded into it (exactly-associative campaign aggregation — the
-/// report itself keeps the legacy chunk-order statistics fold).
+/// any thread count. The report is the finalize() of the trials'
+/// MeasureOneAccumulator; when `acc` is non-null that accumulator is also
+/// merged into it (campaign cells keep the exact tallies for --resume).
 ///
 /// When `lat` is non-null the lens is forced on (Experiment::lens) and
 /// every trial's WindowTrace is folded into it — the same associative
@@ -67,21 +65,5 @@ using AsyncAdversaryFactory =
     int trials, std::uint64_t seed0, CampaignContext& ctx,
     MeasureOneAccumulator* acc = nullptr,
     lens::LatencyAccumulator* lat = nullptr, bool inline_trials = false);
-
-/// Legacy wrapper: unpacked parameters, throwaway context per call.
-[[nodiscard]] MeasureOneReport check_measure_one_window(
-    protocols::ProtocolKind kind, const std::vector<int>& inputs, int t,
-    const WindowAdversaryFactory& make_adversary, int trials,
-    std::int64_t max_windows, std::uint64_t seed0,
-    std::optional<protocols::Thresholds> th = std::nullopt,
-    const ParallelConfig& par = {});
-
-/// Legacy wrapper, same shape.
-[[nodiscard]] MeasureOneReport check_measure_one_async(
-    protocols::ProtocolKind kind, const std::vector<int>& inputs, int t,
-    const AsyncAdversaryFactory& make_adversary, int trials,
-    std::int64_t max_deliveries, std::uint64_t seed0,
-    std::optional<protocols::Thresholds> th = std::nullopt,
-    const ParallelConfig& par = {});
 
 }  // namespace aa::core

@@ -145,11 +145,7 @@ ExhaustiveReport explore(int t, const protocols::Thresholds& th,
               s_choices, r_choices);
         }
       };
-      if (ctx.pool() != nullptr) {
-        parallel_for_chunks(count, gen, body, *ctx.pool());
-      } else {
-        parallel_for_chunks(count, gen, body);
-      }
+      parallel_for_chunks(count, gen, body, ctx.pool());
       for (std::vector<AbstractConfig>& candidates : produced) {
         for (AbstractConfig& next : candidates) {
           ++report.transitions;
@@ -191,27 +187,12 @@ ExhaustiveReport exhaustive_check(int t, const protocols::Thresholds& th,
   return explore(t, th, initial_config(inputs), valid, options, ctx);
 }
 
-ExhaustiveReport exhaustive_check(int t, const protocols::Thresholds& th,
-                                  const std::vector<int>& inputs,
-                                  const ExhaustiveOptions& options) {
-  CampaignContext ctx(options.parallel);
-  return exhaustive_check(t, th, inputs, options, ctx);
-}
-
 ExhaustiveReport exhaustive_check_from(int t, const protocols::Thresholds& th,
                                        const AbstractConfig& start,
                                        const std::array<bool, 2>& valid_values,
                                        const ExhaustiveOptions& options,
                                        CampaignContext& ctx) {
   return explore(t, th, start, valid_values, options, ctx);
-}
-
-ExhaustiveReport exhaustive_check_from(int t, const protocols::Thresholds& th,
-                                       const AbstractConfig& start,
-                                       const std::array<bool, 2>& valid_values,
-                                       const ExhaustiveOptions& options) {
-  CampaignContext ctx(options.parallel);
-  return exhaustive_check_from(t, th, start, valid_values, options, ctx);
 }
 
 }  // namespace aa::core

@@ -24,7 +24,6 @@
 
 #include "core/zsets.hpp"
 #include "protocols/thresholds.hpp"
-#include "util/thread_pool.hpp"
 
 namespace aa::core {
 
@@ -33,11 +32,6 @@ class CampaignContext;  // core/experiment.hpp
 struct ExhaustiveOptions {
   int max_depth = 3;                  ///< windows to unroll
   std::size_t max_configs = 200000;   ///< exploration budget (dedup'd)
-  /// Successor generation (the expensive part) is sharded across these
-  /// workers; dedup + invariant checking stays serial in canonical order,
-  /// so the report is bit-identical at any thread count. Ignored by the
-  /// CampaignContext overloads, which shard per the context's config.
-  ParallelConfig parallel = {};
 };
 
 struct ExhaustiveReport {
@@ -55,16 +49,13 @@ struct ExhaustiveReport {
 };
 
 /// Explore every execution from the initial configuration given by
-/// `inputs`. Validity is judged against `inputs`. The CampaignContext
-/// overload shards successor generation onto the context's long-lived
-/// pool (the campaign path); the other builds a throwaway context from
-/// options.parallel per call. Reports are bit-identical either way.
+/// `inputs`. Validity is judged against `inputs`. Successor generation
+/// (the expensive part) is sharded onto the context's pool; dedup and
+/// invariant checking stay serial in canonical order, so the report is
+/// bit-identical at any thread count.
 [[nodiscard]] ExhaustiveReport exhaustive_check(
     int t, const protocols::Thresholds& th, const std::vector<int>& inputs,
     const ExhaustiveOptions& options, CampaignContext& ctx);
-[[nodiscard]] ExhaustiveReport exhaustive_check(
-    int t, const protocols::Thresholds& th, const std::vector<int>& inputs,
-    const ExhaustiveOptions& options = {});
 
 /// Explore from an arbitrary start configuration (reachability of `start`
 /// is the caller's claim). `valid_values[v]` marks output value v as
@@ -73,9 +64,5 @@ struct ExhaustiveReport {
     int t, const protocols::Thresholds& th, const AbstractConfig& start,
     const std::array<bool, 2>& valid_values, const ExhaustiveOptions& options,
     CampaignContext& ctx);
-[[nodiscard]] ExhaustiveReport exhaustive_check_from(
-    int t, const protocols::Thresholds& th, const AbstractConfig& start,
-    const std::array<bool, 2>& valid_values,
-    const ExhaustiveOptions& options = {});
 
 }  // namespace aa::core

@@ -1,17 +1,13 @@
-// Experiment + Runner: the declarative experiment API.
+// Experiment + Runner: the declarative experiment API, and the only way to
+// run a trial.
 //
 // An Experiment is a named-field specification of one agreement experiment —
 // protocol kind, inputs, fault budget, step/window budget, thresholds, stop
-// condition, and (optionally) a Byzantine corruption — everything the old
-// positional run_window_experiment / run_async_experiment /
-// run_byzantine_window_experiment trio threaded through long parameter
-// lists. A Runner executes the spec against an adversary, deterministically
-// in the seed. One spec can be reused across many seeded runs (the Runner
-// is immutable and its run methods are const and thread-safe), which is how
-// the measure-one checkers shard trials across workers.
-//
-// The legacy run_*_experiment free functions survive in core/harness.hpp as
-// thin wrappers over this API.
+// condition, and (optionally) a Byzantine corruption. A Runner executes the
+// spec against an adversary, deterministically in the seed. One spec can be
+// reused across many seeded runs (the Runner is immutable and its run
+// methods are const and thread-safe), which is how the measure-one checkers
+// (core/checker.hpp) shard trials across a CampaignContext's workers.
 #pragma once
 
 #include <cstdint>

@@ -1,23 +1,16 @@
 // Measure-one trial reports and their hierarchical, exactly-associative
 // aggregation.
 //
-// Two aggregation paths coexist on purpose:
-//
-//  * The legacy checker path (core/checker.cpp) folds per-chunk
-//    RunningStats partials in chunk order. Welford merging is NOT
-//    associative in floating point, so that path pins one merge order
-//    (chunk order) to stay bit-identical across thread counts — but it
-//    cannot be re-sharded hierarchically (cell → campaign) without
-//    changing bits.
-//  * The campaign path below accumulates EXACT INTEGERS only: counter
-//    tallies plus an int64 sum of the decision metric (both measured
-//    metrics — windows-to-first-decision and chain-at-decision — are
-//    integers by construction). Integer addition is associative and
-//    commutative, and violating seeds are canonicalised by sorting at
-//    finalize, so ANY merge tree over any sharding of the same trial set
-//    finalizes to the same bytes. That is the contract the campaign
-//    engine's "merged summary is byte-identical at --threads 1 and 8,
-//    shards 1/4/16" tests pin down.
+// Every report — a checker call (core/checker.cpp), a campaign cell, the
+// campaign summary — is MeasureOneAccumulator::finalize() over the trials'
+// verdicts. The accumulator holds EXACT INTEGERS only: counter tallies plus
+// an int64 sum of the decision metric (both measured metrics —
+// windows-to-first-decision and chain-at-decision — are integers by
+// construction). Integer addition is associative and commutative, and
+// violating seeds are canonicalised by sorting at finalize, so ANY merge
+// tree over any sharding of the same trial set finalizes to the same bytes.
+// That is the contract the campaign engine's "merged summary is
+// byte-identical at --threads 1 and 8, shards 1/4/16" tests pin down.
 #pragma once
 
 #include <cstdint>
@@ -37,8 +30,8 @@ struct MeasureOneReport {
   int decided_runs = 0;        ///< trials where some processor decided
   int all_decided_runs = 0;    ///< trials where all live processors decided
   /// Mean windows to the first decision, over deciding runs (window model).
-  /// For compatibility the async checker also stores its mean chain length
-  /// here; prefer mean_chain_at_decision for async results.
+  /// Async reports (finalize(true)) store their mean chain length here too;
+  /// prefer mean_chain_at_decision for async results.
   double mean_windows_to_first = 0.0;
   /// Mean message-chain length at the first decision, over deciding runs
   /// (async model; 0 for window-model reports).

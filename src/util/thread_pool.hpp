@@ -52,37 +52,6 @@ struct ParallelConfig {
 /// Throws if the count does not fit in int (raise chunk_size instead).
 [[nodiscard]] int chunk_count(std::int64_t total, const ParallelConfig& cfg);
 
-/// A plain FIFO thread pool: `submit` enqueues a job, `wait_idle` blocks
-/// until the queue is drained and every worker is between jobs. The first
-/// exception thrown by a job is captured and rethrown from wait_idle().
-class ThreadPool {
- public:
-  explicit ThreadPool(int threads);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  void submit(std::function<void()> job);
-  void wait_idle();
-
-  [[nodiscard]] int size() const noexcept {
-    return static_cast<int>(workers_.size());
-  }
-
- private:
-  void worker_loop();
-
-  Mutex mu_;
-  CondVar work_ready_;
-  CondVar all_idle_;
-  std::deque<std::function<void()>> jobs_ AA_GUARDED_BY(mu_);
-  std::vector<std::thread> workers_;  ///< written in the ctor only
-  std::exception_ptr first_error_ AA_GUARDED_BY(mu_);
-  std::size_t in_flight_ AA_GUARDED_BY(mu_) = 0;
-  bool stopping_ AA_GUARDED_BY(mu_) = false;
-};
-
 /// Long-lived work-stealing pool for campaign-scale workloads: one pool is
 /// created per campaign and shared across every check it runs, instead of a
 /// spawn/join cycle per check (the overhead that flattened BENCH_t1/t2's
@@ -230,27 +199,17 @@ class Watchdog {
 };
 
 /// Partition [0, total) into chunk_count(total, cfg) fixed chunks and call
-/// `body(chunk_index, begin, end)` once per chunk — inline and in order
-/// when cfg resolves to one thread, across a pool otherwise. Distinct
-/// chunks run concurrently; `body` must not touch another chunk's state.
-/// Rethrows the first exception any chunk raised.
-///
-/// Callers that invoke this in a loop should pass a long-lived `pool` to
-/// avoid a thread spawn/join cycle per call; the pool must not be shared
-/// with concurrent submitters (wait_idle waits for ALL of its jobs). With
-/// no pool a temporary one is created when cfg warrants it.
+/// `body(chunk_index, begin, end)` once per chunk. The chunks run inline
+/// and in order on the calling thread when `pool` is null, cfg resolves to
+/// one thread, or there is only one chunk; otherwise they are submitted to
+/// `pool` as one TaskGroup and the caller helps execute until they are
+/// done. Distinct chunks run concurrently; `body` must not touch another
+/// chunk's state. Safe to call from multiple threads on the same pool
+/// concurrently (each call waits only for its own chunks). Rethrows the
+/// first exception any chunk raised.
 void parallel_for_chunks(
     std::int64_t total, const ParallelConfig& cfg,
     const std::function<void(int, std::int64_t, std::int64_t)>& body,
-    ThreadPool* pool = nullptr);
-
-/// Same contract on a shared work-stealing pool: chunks are submitted as
-/// one TaskGroup and the caller helps execute until they are done. Safe to
-/// call from multiple threads on the same pool concurrently (each call
-/// waits only for its own chunks).
-void parallel_for_chunks(
-    std::int64_t total, const ParallelConfig& cfg,
-    const std::function<void(int, std::int64_t, std::int64_t)>& body,
-    WorkStealingPool& pool);
+    WorkStealingPool* pool);
 
 }  // namespace aa

@@ -7,6 +7,7 @@
 #include "adversary/async_adversaries.hpp"
 #include "adversary/chaos.hpp"
 #include "adversary/window_adversaries.hpp"
+#include "core/campaign.hpp"
 #include "protocols/factory.hpp"
 #include "sim/async.hpp"
 #include "sim/window.hpp"
@@ -37,7 +38,12 @@ sim::WindowPlan plan_once(sim::WindowAdversary& adv, Execution& e, int t) {
 }
 
 std::unique_ptr<sim::WindowAdversary> random_inner(std::uint64_t seed, int t) {
-  return std::make_unique<RandomWindowAdversary>(t, 0.1, Rng(seed * 9 + 2));
+  return core::window_adversary_factory("random", t)(seed);
+}
+
+std::unique_ptr<sim::AsyncAdversary> random_async_inner(std::uint64_t seed,
+                                                        int t) {
+  return core::async_adversary_factory("random-async", t)(seed);
 }
 
 // Fingerprint for bit-identity comparisons between two runs.
@@ -186,8 +192,7 @@ TEST(ChaosAsync, CrashInjectionHonoursBothBudgets) {
   fp.crash_prob = 1.0;
   fp.crash_budget = 5;  // wants more than the model allows
   for (const std::uint64_t seed : {2ull, 9ull}) {
-    ChaosAsyncScheduler chaos(
-        std::make_unique<RandomAsyncScheduler>(Rng(seed * 3 + 1)), fp, seed);
+    ChaosAsyncScheduler chaos(random_async_inner(seed, t), fp, seed);
     Execution e = make_exec(n, t, seed);
     const sim::AsyncRunResult rr = sim::run_async(e, chaos, t, 4000, true);
     EXPECT_LE(rr.crashes, t);  // model budget binds before the fault budget
@@ -205,8 +210,7 @@ TEST(ChaosAsync, SameSeedReplaysBitIdentically) {
   for (const std::uint64_t seed : {4ull, 13ull}) {
     std::vector<std::int64_t> prints;
     for (int run = 0; run < 2; ++run) {
-      ChaosAsyncScheduler chaos(
-          std::make_unique<RandomAsyncScheduler>(Rng(seed * 3 + 1)), fp, seed);
+      ChaosAsyncScheduler chaos(random_async_inner(seed, t), fp, seed);
       Execution e = make_exec(n, t, seed);
       const sim::AsyncRunResult rr = sim::run_async(e, chaos, t, 4000, true);
       prints.push_back(rr.deliveries);

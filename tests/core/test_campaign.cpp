@@ -282,10 +282,7 @@ TEST(Campaign, SeedShardedCheckerAccumulatorsMergeToWholeRun) {
   spec.inputs = protocols::split_inputs(9, 0.5);
   spec.t = 1;
   spec.budget = 300;
-  const WindowAdversaryFactory factory = [](std::uint64_t seed) {
-    return std::make_unique<adversary::RandomWindowAdversary>(1, 0.1,
-                                                             Rng(seed * 9 + 2));
-  };
+  const WindowAdversaryFactory factory = window_adversary_factory("random", 1);
   const int trials = 32;
   const std::uint64_t seed0 = 600;
   const ParallelConfig par{.threads = 1, .chunk_size = 4};

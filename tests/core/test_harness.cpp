@@ -1,19 +1,36 @@
+// Per-mode trial runs through core::Runner — window, async and Byzantine
+// outcomes for one spec and one seed — plus the agreement / validity verdict
+// helpers.
 #include <gtest/gtest.h>
 
 #include "adversary/async_adversaries.hpp"
 #include "adversary/window_adversaries.hpp"
-#include "core/harness.hpp"
+#include "core/experiment.hpp"
 
 namespace aa::core {
 namespace {
 
 using protocols::ProtocolKind;
 
+Experiment window_spec(int n, std::int64_t budget,
+                       StopCondition stop = StopCondition::kFirstDecision) {
+  Experiment spec;
+  spec.kind = ProtocolKind::Reset;
+  spec.inputs = protocols::split_inputs(n, 0.5);
+  spec.t = 2;
+  spec.budget = budget;
+  spec.stop = stop;
+  return spec;
+}
+
+// ---- window runs ----------------------------------------------------------
+
 TEST(WindowHarness, UnanimousFastPath) {
+  Experiment spec = window_spec(12, 100);
+  spec.inputs = protocols::unanimous_inputs(12, 1);
+  spec.t = 1;
   adversary::FairWindowAdversary fair;
-  const WindowRunResult r = run_window_experiment(
-      ProtocolKind::Reset, protocols::unanimous_inputs(12, 1), 1, fair, 100,
-      7);
+  const WindowRunResult r = Runner(spec).run_window(fair, 7);
   EXPECT_TRUE(r.decided);
   EXPECT_EQ(r.decision, 1);
   EXPECT_EQ(r.windows_to_first, 1);
@@ -21,56 +38,42 @@ TEST(WindowHarness, UnanimousFastPath) {
   EXPECT_TRUE(r.validity);
 }
 
-TEST(WindowHarness, UntilAllRunsLonger) {
-  adversary::FairWindowAdversary fair1;
-  adversary::FairWindowAdversary fair2;
-  const auto inputs = protocols::split_inputs(12, 0.5);
-  const WindowRunResult first = run_window_experiment(
-      ProtocolKind::Reset, inputs, 1, fair1, 100000, 7, std::nullopt, false);
-  const WindowRunResult all = run_window_experiment(
-      ProtocolKind::Reset, inputs, 1, fair2, 100000, 7, std::nullopt, true);
-  EXPECT_TRUE(first.decided);
-  EXPECT_TRUE(all.all_decided);
-  EXPECT_GE(all.windows_total, first.windows_total);
-}
-
 TEST(WindowHarness, RespectsMaxWindows) {
+  Experiment spec = window_spec(20, /*budget=*/2);
+  spec.t = 3;
   adversary::SplitKeeperAdversary keeper;
-  const WindowRunResult r = run_window_experiment(
-      ProtocolKind::Reset, protocols::split_inputs(20, 0.5), 3, keeper, 2, 7);
+  const WindowRunResult r = Runner(spec).run_window(keeper, 7);
   EXPECT_LE(r.windows_total, 2);
-}
-
-TEST(WindowHarness, DeterministicInSeed) {
-  auto run = [](std::uint64_t seed) {
-    adversary::FairWindowAdversary fair;
-    return run_window_experiment(ProtocolKind::Reset,
-                                 protocols::split_inputs(12, 0.5), 1, fair,
-                                 100000, seed)
-        .windows_to_first;
-  };
-  EXPECT_EQ(run(42), run(42));
 }
 
 TEST(WindowHarness, CustomThresholdsHonoured) {
   // Large slack (small t): a lower T2 must not break agreement.
   const int n = 36;
   const int t = 2;
-  const protocols::Thresholds th{n - 2 * t, n - 2 * t - 3,
-                                 n - 2 * t - 3 - t};
+  Experiment spec = window_spec(n, 100000, StopCondition::kAllDecided);
+  spec.t = t;
+  spec.thresholds =
+      protocols::Thresholds{n - 2 * t, n - 2 * t - 3, n - 2 * t - 3 - t};
   adversary::FairWindowAdversary fair;
-  const WindowRunResult r =
-      run_window_experiment(ProtocolKind::Reset, protocols::split_inputs(n, 0.5),
-                            t, fair, 100000, 11, th, true);
+  const WindowRunResult r = Runner(spec).run_window(fair, 11);
   EXPECT_TRUE(r.all_decided);
   EXPECT_TRUE(r.agreement);
 }
 
+// ---- async runs -----------------------------------------------------------
+
+Experiment benor_spec(std::int64_t max_deliveries) {
+  Experiment spec;
+  spec.kind = ProtocolKind::BenOr;
+  spec.inputs = protocols::split_inputs(9, 0.5);
+  spec.t = 2;
+  spec.budget = max_deliveries;
+  return spec;
+}
+
 TEST(AsyncHarness, BenOrRunsToDecision) {
   adversary::RandomAsyncScheduler sched(Rng(3));
-  const AsyncRunOutcome r = run_async_experiment(
-      ProtocolKind::BenOr, protocols::split_inputs(9, 0.5), 2, sched,
-      5'000'000, 13);
+  const AsyncRunOutcome r = Runner(benor_spec(5'000'000)).run_async(sched, 13);
   EXPECT_TRUE(r.decided);
   EXPECT_TRUE(r.agreement);
   EXPECT_TRUE(r.validity);
@@ -79,28 +82,12 @@ TEST(AsyncHarness, BenOrRunsToDecision) {
 
 TEST(AsyncHarness, ReportsStepLimit) {
   adversary::RandomAsyncScheduler sched(Rng(3));
-  const AsyncRunOutcome r = run_async_experiment(
-      ProtocolKind::BenOr, protocols::split_inputs(9, 0.5), 2, sched, 3, 13);
+  const AsyncRunOutcome r = Runner(benor_spec(3)).run_async(sched, 13);
   EXPECT_TRUE(r.hit_limit);
   EXPECT_FALSE(r.decided);
 }
 
-TEST(CheckValidity, FlagsOutputNotAmongInputs) {
-  // check_validity is driven through the harness; unit-test the helper
-  // against a crafted execution: every processor has input 0, then we fake
-  // an output of 1 by running a unanimity-0 run (outputs must be 0) and
-  // asserting validity against inputs "all ones" fails.
-  adversary::FairWindowAdversary fair;
-  sim::Execution exec(
-      protocols::make_processes(ProtocolKind::Reset, 1,
-                                protocols::unanimous_inputs(12, 0)),
-      7);
-  sim::run_until_all_decided(exec, fair, 1, 100);
-  ASSERT_TRUE(exec.all_live_decided());
-  EXPECT_TRUE(check_validity(exec, protocols::unanimous_inputs(12, 0)));
-  // Against a hypothetical all-ones input vector, the 0 outputs are invalid.
-  EXPECT_FALSE(check_validity(exec, protocols::unanimous_inputs(12, 1)));
-}
+// ---- Byzantine runs -------------------------------------------------------
 
 TEST(ByzantineHarness, CrashedHonestProcessorDoesNotBlockAllDecided) {
   // Regression: the final verdict used to count a crashed honest
@@ -109,12 +96,11 @@ TEST(ByzantineHarness, CrashedHonestProcessorDoesNotBlockAllDecided) {
   // processor up front; every live processor decides, so the verdict must
   // be honest_all_decided = true with n - 1 deciders.
   const int n = 13;
-  const int t = 2;
+  Experiment spec = window_spec(n, 100000);
+  spec.byzantine = ByzantineSpec{0, protocols::ByzantineStrategy::Silent,
+                                 /*pre_crashed=*/{0}};
   adversary::FairWindowAdversary fair;
-  const ByzantineRunResult r = run_byzantine_window_experiment(
-      ProtocolKind::Reset, protocols::split_inputs(n, 0.5), t,
-      /*byz_count=*/0, protocols::ByzantineStrategy::Silent, fair,
-      /*max_windows=*/100000, /*seed=*/7, /*pre_crashed=*/{0});
+  const ByzantineRunResult r = Runner(spec).run_byzantine(fair, 7);
   EXPECT_TRUE(r.honest_all_decided);
   EXPECT_EQ(r.honest_decided, n - 1);
   EXPECT_TRUE(r.honest_agreement);
@@ -125,14 +111,28 @@ TEST(ByzantineHarness, NoPreCrashStillCountsEveryone) {
   // Companion to the regression above: with nobody crashed the verdict
   // quantifies over all n processors, same as before the fix.
   const int n = 13;
-  const int t = 2;
+  Experiment spec = window_spec(n, 100000);
+  spec.byzantine = ByzantineSpec{0, protocols::ByzantineStrategy::Silent, {}};
   adversary::FairWindowAdversary fair;
-  const ByzantineRunResult r = run_byzantine_window_experiment(
-      ProtocolKind::Reset, protocols::split_inputs(n, 0.5), t,
-      /*byz_count=*/0, protocols::ByzantineStrategy::Silent, fair,
-      /*max_windows=*/100000, /*seed=*/7);
+  const ByzantineRunResult r = Runner(spec).run_byzantine(fair, 7);
   EXPECT_TRUE(r.honest_all_decided);
   EXPECT_EQ(r.honest_decided, n);
+}
+
+// ---- verdict helpers ------------------------------------------------------
+
+TEST(CheckValidity, FlagsOutputNotAmongInputs) {
+  // Run a unanimity-0 execution (outputs must be 0), then judge it against
+  // a hypothetical all-ones input vector: the 0 outputs are invalid there.
+  adversary::FairWindowAdversary fair;
+  sim::Execution exec(
+      protocols::make_processes(ProtocolKind::Reset, 1,
+                                protocols::unanimous_inputs(12, 0)),
+      7);
+  sim::run_until_all_decided(exec, fair, 1, 100);
+  ASSERT_TRUE(exec.all_live_decided());
+  EXPECT_TRUE(check_validity(exec, protocols::unanimous_inputs(12, 0)));
+  EXPECT_FALSE(check_validity(exec, protocols::unanimous_inputs(12, 1)));
 }
 
 TEST(CheckAgreement, TrueOnAgreeingRun) {

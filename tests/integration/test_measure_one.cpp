@@ -3,6 +3,9 @@
 // many seeds. These are the headline Theorem 4 checks.
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "adversary/async_adversaries.hpp"
 #include "adversary/window_adversaries.hpp"
 #include "core/checker.hpp"
@@ -11,6 +14,22 @@ namespace aa::core {
 namespace {
 
 using protocols::ProtocolKind;
+
+Experiment spec_of(ProtocolKind kind, std::vector<int> inputs, int t,
+                   std::int64_t budget) {
+  Experiment spec;
+  spec.kind = kind;
+  spec.inputs = std::move(inputs);
+  spec.t = t;
+  spec.budget = budget;
+  return spec;
+}
+
+/// The serial context every check in this file shares.
+CampaignContext& serial_ctx() {
+  static CampaignContext ctx{ParallelConfig{}};
+  return ctx;
+}
 
 struct WindowCase {
   const char* label;
@@ -24,12 +43,13 @@ class ResetMeasureOneTest : public ::testing::TestWithParam<WindowCase> {};
 TEST_P(ResetMeasureOneTest, CleanUnderRandomWindows) {
   const WindowCase wc = GetParam();
   const MeasureOneReport rep = check_measure_one_window(
-      ProtocolKind::Reset, protocols::split_inputs(wc.n, wc.ones), wc.t,
+      spec_of(ProtocolKind::Reset, protocols::split_inputs(wc.n, wc.ones),
+              wc.t, /*max_windows=*/300000),
       [&wc](std::uint64_t seed) {
         return std::make_unique<adversary::RandomWindowAdversary>(wc.t, 0.25,
                                                                   Rng(seed));
       },
-      /*trials=*/15, /*max_windows=*/300000, /*seed0=*/9000);
+      /*trials=*/15, /*seed0=*/9000, serial_ctx());
   EXPECT_TRUE(rep.clean()) << wc.label;
   EXPECT_EQ(rep.all_decided_runs, 15) << wc.label << ": termination failed";
 }
@@ -52,11 +72,12 @@ TEST(MeasureOne, ResetSurvivesSplitKeeperEventually) {
   const int n = 12;
   const int t = 1;
   const MeasureOneReport rep = check_measure_one_window(
-      ProtocolKind::Reset, protocols::split_inputs(n, 0.5), t,
+      spec_of(ProtocolKind::Reset, protocols::split_inputs(n, 0.5), t,
+              1'000'000),
       [](std::uint64_t) {
         return std::make_unique<adversary::SplitKeeperAdversary>();
       },
-      10, 1'000'000, 100);
+      10, 100, serial_ctx());
   EXPECT_TRUE(rep.clean());
   EXPECT_EQ(rep.all_decided_runs, 10);
 }
@@ -66,12 +87,13 @@ TEST(MeasureOne, ResetSurvivesSilencerForever) {
   const int n = 13;
   const int t = 2;
   const MeasureOneReport rep = check_measure_one_window(
-      ProtocolKind::Reset, protocols::split_inputs(n, 0.5), t,
+      spec_of(ProtocolKind::Reset, protocols::split_inputs(n, 0.5), t,
+              300000),
       [](std::uint64_t) {
         return std::make_unique<adversary::SilencerWindowAdversary>(
             std::vector<sim::ProcId>{0, 1});
       },
-      15, 300000, 200);
+      15, 200, serial_ctx());
   EXPECT_TRUE(rep.clean());
   // The SILENCED processors still hear everything and decide; all 13 finish.
   EXPECT_EQ(rep.all_decided_runs, 15);
@@ -81,11 +103,12 @@ TEST(MeasureOne, BrachaCleanUnderFairWindows) {
   const int n = 10;
   const int t = 3;
   const MeasureOneReport rep = check_measure_one_window(
-      ProtocolKind::Bracha, protocols::split_inputs(n, 0.5), t,
+      spec_of(ProtocolKind::Bracha, protocols::split_inputs(n, 0.5), t,
+              500000),
       [](std::uint64_t) {
         return std::make_unique<adversary::FairWindowAdversary>();
       },
-      10, 500000, 300);
+      10, 300, serial_ctx());
   EXPECT_TRUE(rep.clean());
   EXPECT_EQ(rep.all_decided_runs, 10);
 }
@@ -94,7 +117,8 @@ TEST(MeasureOne, BenOrCleanUnderCrashSchedules) {
   const int n = 11;
   const int t = 3;
   const MeasureOneReport rep = check_measure_one_async(
-      ProtocolKind::BenOr, protocols::split_inputs(n, 0.5), t,
+      spec_of(ProtocolKind::BenOr, protocols::split_inputs(n, 0.5), t,
+              5'000'000),
       [n, t](std::uint64_t seed) {
         // Crash a random t-subset at random times via seed-derived choices.
         Rng r(seed);
@@ -109,7 +133,7 @@ TEST(MeasureOne, BenOrCleanUnderCrashSchedules) {
         return std::make_unique<adversary::FixedCrashScheduler>(victims,
                                                                 Rng(seed));
       },
-      12, 5'000'000, 400);
+      12, 400, serial_ctx());
   EXPECT_TRUE(rep.clean());
   EXPECT_EQ(rep.all_decided_runs, 12);
 }
@@ -120,11 +144,12 @@ TEST(MeasureOne, ForgetfulCleanUnderSplitKeeperShortHorizon) {
   const int n = 16;
   const int t = 2;
   const MeasureOneReport rep = check_measure_one_async(
-      ProtocolKind::Forgetful, protocols::split_inputs(n, 0.5), t,
+      spec_of(ProtocolKind::Forgetful, protocols::split_inputs(n, 0.5), t,
+              20000),
       [](std::uint64_t) {
         return std::make_unique<adversary::AsyncSplitKeeper>();
       },
-      10, 20000, 500);
+      10, 500, serial_ctx());
   EXPECT_TRUE(rep.clean());
 }
 
@@ -135,11 +160,11 @@ TEST(MeasureOne, ValidityUnderUnanimityForAllProtocols) {
       const int n = 10;
       const int t = kind == ProtocolKind::Reset ? 1 : 3;
       const MeasureOneReport rep = check_measure_one_window(
-          kind, protocols::unanimous_inputs(n, v), t,
+          spec_of(kind, protocols::unanimous_inputs(n, v), t, 100000),
           [](std::uint64_t) {
             return std::make_unique<adversary::FairWindowAdversary>();
           },
-          5, 100000, 600 + static_cast<std::uint64_t>(v));
+          5, 600 + static_cast<std::uint64_t>(v), serial_ctx());
       EXPECT_TRUE(rep.clean()) << protocols::protocol_kind_name(kind)
                                << " v=" << v;
       EXPECT_EQ(rep.all_decided_runs, 5);

@@ -12,12 +12,24 @@
 #include "adversary/window_adversaries.hpp"
 #include "core/checker.hpp"
 #include "core/exhaustive.hpp"
+#include "core/experiment.hpp"
 #include "protocols/factory.hpp"
 
 namespace aa::core {
 namespace {
 
 using protocols::ProtocolKind;
+
+Experiment spec_of(ProtocolKind kind, int n, int t, std::int64_t budget,
+                   std::optional<protocols::Thresholds> th = std::nullopt) {
+  Experiment spec;
+  spec.kind = kind;
+  spec.inputs = protocols::split_inputs(n, 0.5);
+  spec.t = t;
+  spec.budget = budget;
+  spec.thresholds = th;
+  return spec;
+}
 
 void expect_identical(const MeasureOneReport& a, const MeasureOneReport& b,
                       int threads) {
@@ -41,14 +53,14 @@ TEST(ParallelDeterminism, WindowCheckerBitIdenticalAcrossThreadCounts) {
   const int n = 13;
   const int t = 2;
   const auto run = [&](int threads) {
+    CampaignContext ctx(ParallelConfig{.threads = threads, .chunk_size = 4});
     return check_measure_one_window(
-        ProtocolKind::Reset, protocols::split_inputs(n, 0.5), t,
+        spec_of(ProtocolKind::Reset, n, t, /*max_windows=*/100000),
         [t](std::uint64_t seed) {
           return std::make_unique<adversary::RandomWindowAdversary>(t, 0.2,
                                                                     Rng(seed));
         },
-        /*trials=*/24, /*max_windows=*/100000, /*seed0=*/1000, std::nullopt,
-        ParallelConfig{.threads = threads, .chunk_size = 4});
+        /*trials=*/24, /*seed0=*/1000, ctx);
   };
   const MeasureOneReport serial = run(1);
   EXPECT_EQ(serial.all_decided_runs, 24);
@@ -66,14 +78,14 @@ TEST(ParallelDeterminism, WindowCheckerViolatingSeedsIdenticalAndSorted) {
   const protocols::Thresholds broken{6, 4, 4};
   ASSERT_FALSE(protocols::thresholds_valid(n, t, broken));
   const auto run = [&](int threads) {
+    CampaignContext ctx(ParallelConfig{.threads = threads, .chunk_size = 8});
     return check_measure_one_window(
-        ProtocolKind::Reset, protocols::split_inputs(n, 0.5), t,
+        spec_of(ProtocolKind::Reset, n, t, /*max_windows=*/2000, broken),
         [t](std::uint64_t seed) {
           return std::make_unique<adversary::RandomWindowAdversary>(t, 0.0,
                                                                     Rng(seed));
         },
-        /*trials=*/40, /*max_windows=*/2000, /*seed0=*/3000, broken,
-        ParallelConfig{.threads = threads, .chunk_size = 8});
+        /*trials=*/40, /*seed0=*/3000, ctx);
   };
   const MeasureOneReport serial = run(1);
   ASSERT_GT(serial.agreement_violations, 0);
@@ -88,19 +100,19 @@ TEST(ParallelDeterminism, AsyncCheckerBitIdenticalAcrossThreadCounts) {
   const int n = 9;
   const int t = 2;
   const auto run = [&](int threads) {
+    CampaignContext ctx(ParallelConfig{.threads = threads, .chunk_size = 2});
     return check_measure_one_async(
-        ProtocolKind::BenOr, protocols::split_inputs(n, 0.5), t,
+        spec_of(ProtocolKind::BenOr, n, t, /*max_deliveries=*/5'000'000),
         [](std::uint64_t seed) {
           return std::make_unique<adversary::RandomAsyncScheduler>(Rng(seed));
         },
-        /*trials=*/12, /*max_deliveries=*/5'000'000, /*seed0=*/4000,
-        std::nullopt, ParallelConfig{.threads = threads, .chunk_size = 2});
+        /*trials=*/12, /*seed0=*/4000, ctx);
   };
   const MeasureOneReport serial = run(1);
   EXPECT_EQ(serial.decided_runs, 12);
   EXPECT_GT(serial.mean_chain_at_decision, 0.0);
-  // Compatibility: the async checker mirrors its chain metric into the
-  // legacy field.
+  // finalize(true) mirrors the async chain metric into
+  // mean_windows_to_first.
   EXPECT_EQ(serial.mean_chain_at_decision, serial.mean_windows_to_first);
   for (const int threads : {2, 8}) {
     expect_identical(serial, run(threads), threads);
@@ -111,12 +123,10 @@ TEST(ParallelDeterminism, ExhaustiveReportIdenticalAcrossThreadCounts) {
   const int n = 7;
   const int t = 1;
   const auto run = [&](int threads) {
-    return exhaustive_check(
-        t, protocols::canonical_thresholds(n, t),
-        protocols::split_inputs(n, 4.0 / 7),
-        {.max_depth = 2,
-         .max_configs = 150000,
-         .parallel = ParallelConfig{.threads = threads}});
+    CampaignContext ctx(ParallelConfig{.threads = threads});
+    return exhaustive_check(t, protocols::canonical_thresholds(n, t),
+                            protocols::split_inputs(n, 4.0 / 7),
+                            {.max_depth = 2, .max_configs = 150000}, ctx);
   };
   const ExhaustiveReport serial = run(1);
   EXPECT_TRUE(serial.clean());
@@ -141,11 +151,9 @@ TEST(ParallelDeterminism, ExhaustiveViolationWitnessIdentical) {
   start.x = {0, 1, 1, 1, 1, 1, 1};
   start.out = {0, -1, -1, -1, -1, -1, -1};
   const auto run = [&](int threads) {
-    return exhaustive_check_from(
-        t, broken, start, {true, true},
-        {.max_depth = 1,
-         .max_configs = 100000,
-         .parallel = ParallelConfig{.threads = threads}});
+    CampaignContext ctx(ParallelConfig{.threads = threads});
+    return exhaustive_check_from(t, broken, start, {true, true},
+                                 {.max_depth = 1, .max_configs = 100000}, ctx);
   };
   const ExhaustiveReport serial = run(1);
   ASSERT_TRUE(serial.violation.has_value());

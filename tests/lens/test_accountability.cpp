@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "adversary/window_adversaries.hpp"
+#include "core/campaign.hpp"
 #include "core/checker.hpp"
 #include "core/report.hpp"
 #include "lens/accountability.hpp"
@@ -132,13 +133,6 @@ core::Experiment checker_spec() {
   return spec;
 }
 
-core::WindowAdversaryFactory random_factory(int t) {
-  return [t](std::uint64_t seed) {
-    return std::make_unique<adversary::RandomWindowAdversary>(
-        t, 0.1, Rng(seed * 9 + 2));
-  };
-}
-
 void expect_measure_reports_identical(const core::MeasureOneReport& a,
                                       const core::MeasureOneReport& b) {
   EXPECT_EQ(a.trials, b.trials);
@@ -162,7 +156,8 @@ TEST(LatencyAccumulator, CheckerLatencyReportBitIdenticalAcrossThreads) {
     core::CampaignContext ctx(par);
     LatencyAccumulator lat;
     const core::MeasureOneReport rep = core::check_measure_one_window(
-        spec, random_factory(spec.t), trials, 4000, ctx, nullptr, &lat);
+        spec, core::window_adversary_factory("random", spec.t), trials, 4000,
+        ctx, nullptr, &lat);
     ASSERT_EQ(lat.trials(), trials);
     const std::string bytes = core::latency_report_json(lat.finalize(spec.t));
     if (threads == 1) {
@@ -184,11 +179,13 @@ TEST(LatencyAccumulator, LensNeverChangesTheMeasureOneReport) {
     par.chunk_size = 8;
     core::CampaignContext ctx_off(par);
     const core::MeasureOneReport off = core::check_measure_one_window(
-        spec, random_factory(spec.t), trials, 5000, ctx_off);
+        spec, core::window_adversary_factory("random", spec.t), trials, 5000,
+        ctx_off);
     core::CampaignContext ctx_on(par);
     LatencyAccumulator lat;
     const core::MeasureOneReport on = core::check_measure_one_window(
-        spec, random_factory(spec.t), trials, 5000, ctx_on, nullptr, &lat);
+        spec, core::window_adversary_factory("random", spec.t), trials, 5000,
+        ctx_on, nullptr, &lat);
     expect_measure_reports_identical(off, on);
   }
 }
@@ -205,13 +202,13 @@ TEST(LatencyAccumulator, InlineTrialsProduceIdenticalBytes) {
   core::CampaignContext pooled_ctx(par);
   LatencyAccumulator pooled_lat;
   const core::MeasureOneReport pooled = core::check_measure_one_window(
-      spec, random_factory(spec.t), trials, 6000, pooled_ctx, nullptr,
-      &pooled_lat);
+      spec, core::window_adversary_factory("random", spec.t), trials, 6000,
+      pooled_ctx, nullptr, &pooled_lat);
   core::CampaignContext inline_ctx(par);
   LatencyAccumulator inline_lat;
   const core::MeasureOneReport inlined = core::check_measure_one_window(
-      spec, random_factory(spec.t), trials, 6000, inline_ctx, nullptr,
-      &inline_lat, /*inline_trials=*/true);
+      spec, core::window_adversary_factory("random", spec.t), trials, 6000,
+      inline_ctx, nullptr, &inline_lat, /*inline_trials=*/true);
   expect_measure_reports_identical(pooled, inlined);
   EXPECT_EQ(core::latency_report_json(pooled_lat.finalize(spec.t)),
             core::latency_report_json(inline_lat.finalize(spec.t)));

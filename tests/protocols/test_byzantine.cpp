@@ -1,12 +1,26 @@
 #include <gtest/gtest.h>
 
 #include "adversary/window_adversaries.hpp"
-#include "core/harness.hpp"
+#include "core/experiment.hpp"
 #include "protocols/byzantine.hpp"
 #include "protocols/reset_agreement.hpp"
 
 namespace aa::protocols {
 namespace {
+
+/// `kind` on split inputs at (n, t) with the first `f` processors lying
+/// per `strategy`, for at most `max_windows` windows.
+core::Runner byzantine_runner(ProtocolKind kind, int n, int t, int f,
+                              ByzantineStrategy strategy,
+                              std::int64_t max_windows) {
+  core::Experiment spec;
+  spec.kind = kind;
+  spec.inputs = split_inputs(n, 0.5);
+  spec.t = t;
+  spec.budget = max_windows;
+  spec.byzantine = core::ByzantineSpec{f, strategy, {}};
+  return core::Runner(std::move(spec));
+}
 
 TEST(ByzantineProcess, SilentDropsEverything) {
   auto inner = std::make_unique<ResetProcess>(0, 12, 1,
@@ -107,9 +121,9 @@ TEST(ByzantineRun, BrachaSurvivesEquivocators) {
   for (int f = 1; f <= t; ++f) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       adversary::FairWindowAdversary fair;
-      const auto r = core::run_byzantine_window_experiment(
-          ProtocolKind::Bracha, split_inputs(n, 0.5), t, f,
-          ByzantineStrategy::Equivocate, fair, 300000, seed);
+      const auto r = byzantine_runner(ProtocolKind::Bracha, n, t, f,
+                                      ByzantineStrategy::Equivocate, 300000)
+                         .run_byzantine(fair, seed);
       EXPECT_TRUE(r.honest_agreement) << "f=" << f << " seed=" << seed;
       EXPECT_TRUE(r.honest_validity) << "f=" << f << " seed=" << seed;
       EXPECT_TRUE(r.honest_all_decided) << "f=" << f << " seed=" << seed;
@@ -123,9 +137,9 @@ TEST(ByzantineRun, BrachaSurvivesSilenceAndRandomLies) {
   for (const auto strategy :
        {ByzantineStrategy::RandomLie, ByzantineStrategy::Silent}) {
     adversary::FairWindowAdversary fair;
-    const auto r = core::run_byzantine_window_experiment(
-        ProtocolKind::Bracha, split_inputs(n, 0.5), t, t, strategy, fair,
-        300000, 5);
+    const auto r =
+        byzantine_runner(ProtocolKind::Bracha, n, t, t, strategy, 300000)
+            .run_byzantine(fair, 5);
     EXPECT_TRUE(r.honest_agreement) << byzantine_strategy_name(strategy);
     EXPECT_TRUE(r.honest_all_decided) << byzantine_strategy_name(strategy);
   }
@@ -139,9 +153,9 @@ TEST(ByzantineRun, BrachaFlipAllKeepsSafetyButStallsWithoutValidation) {
   const int n = 10;
   const int t = 3;
   adversary::FairWindowAdversary fair;
-  const auto r = core::run_byzantine_window_experiment(
-      ProtocolKind::Bracha, split_inputs(n, 0.5), t, t,
-      ByzantineStrategy::FlipAll, fair, 2000, 5);
+  const auto r = byzantine_runner(ProtocolKind::Bracha, n, t, t,
+                                  ByzantineStrategy::FlipAll, 2000)
+                     .run_byzantine(fair, 5);
   EXPECT_TRUE(r.honest_agreement);
   EXPECT_TRUE(r.honest_validity);
   EXPECT_FALSE(r.honest_all_decided);
@@ -158,9 +172,9 @@ TEST(ByzantineRun, ResetAgreementVulnerableToLying) {
   const int trials = 6;
   for (std::uint64_t seed = 1; seed <= trials; ++seed) {
     adversary::FairWindowAdversary fair;
-    const auto r = core::run_byzantine_window_experiment(
-        ProtocolKind::Reset, split_inputs(n, 0.5), t, t,
-        ByzantineStrategy::Equivocate, fair, 2000, seed);
+    const auto r = byzantine_runner(ProtocolKind::Reset, n, t, t,
+                                    ByzantineStrategy::Equivocate, 2000)
+                       .run_byzantine(fair, seed);
     if (r.honest_agreement && r.honest_validity && r.honest_all_decided)
       ++clean;
   }

@@ -1,4 +1,4 @@
-// report_probe: deterministic dump of checker / exhaustive / harness
+// report_probe: deterministic dump of checker / exhaustive / single-run
 // reports, used to verify that engine refactors keep every report
 // bit-identical across commits and thread counts.
 //
@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/api.hpp"
@@ -33,35 +34,14 @@ void print_measure_one(const char* tag, int threads,
   std::printf("]\n");
 }
 
-core::WindowAdversaryFactory window_factory(const std::string& name, int t) {
-  return [name, t](std::uint64_t seed) -> std::unique_ptr<sim::WindowAdversary> {
-    if (name == "fair") return std::make_unique<adversary::FairWindowAdversary>();
-    if (name == "silencer") {
-      std::vector<sim::ProcId> silenced;
-      for (int i = 0; i < t; ++i) silenced.push_back(i);
-      return std::make_unique<adversary::SilencerWindowAdversary>(silenced);
-    }
-    if (name == "split-keeper")
-      return std::make_unique<adversary::SplitKeeperAdversary>();
-    if (name == "reset-storm")
-      return std::make_unique<adversary::ResetStormAdversary>(t, Rng(seed * 7 + 1));
-    return std::make_unique<adversary::RandomWindowAdversary>(t, 0.1,
-                                                              Rng(seed * 9 + 2));
-  };
-}
-
-core::AsyncAdversaryFactory async_factory(const std::string& name, int t) {
-  return [name, t](std::uint64_t seed) -> std::unique_ptr<sim::AsyncAdversary> {
-    if (name == "random-async")
-      return std::make_unique<adversary::RandomAsyncScheduler>(Rng(seed * 3 + 1));
-    if (name == "fixed-crash") {
-      std::vector<sim::ProcId> crash;
-      for (int i = 0; i < t; ++i) crash.push_back(i);
-      return std::make_unique<adversary::FixedCrashScheduler>(crash,
-                                                              Rng(seed * 5 + 3));
-    }
-    return std::make_unique<adversary::AsyncSplitKeeper>();
-  };
+core::Experiment spec(protocols::ProtocolKind kind, int n, int t,
+                      std::int64_t budget) {
+  core::Experiment e;
+  e.kind = kind;
+  e.inputs = protocols::split_inputs(n, 0.5);
+  e.t = t;
+  e.budget = budget;
+  return e;
 }
 
 }  // namespace
@@ -82,6 +62,7 @@ int main(int argc, char** argv) {
   for (const int threads : thread_counts) {
     aa::ParallelConfig par;
     par.threads = threads;
+    core::CampaignContext ctx(par);
 
     // ---- window-model checker, every adversary ----
     for (const auto& k : kinds) {
@@ -90,9 +71,9 @@ int main(int argc, char** argv) {
         const int n = 16;
         const int t = 2;
         const auto rep = core::check_measure_one_window(
-            k.kind, protocols::split_inputs(n, 0.5), t,
-            window_factory(adv, t), /*trials=*/40, /*max_windows=*/600,
-            /*seed0=*/1000, std::nullopt, par);
+            spec(k.kind, n, t, /*max_windows=*/600),
+            core::window_adversary_factory(adv, t), /*trials=*/40,
+            /*seed0=*/1000, ctx);
         std::printf("window %s %s ", k.kname, adv);
         print_measure_one("", threads, rep);
       }
@@ -104,9 +85,9 @@ int main(int argc, char** argv) {
         const int n = 10;
         const int t = 2;
         const auto rep = core::check_measure_one_async(
-            k.kind, protocols::split_inputs(n, 0.5), t, async_factory(adv, t),
-            /*trials=*/30, /*max_deliveries=*/40000, /*seed0=*/500,
-            std::nullopt, par);
+            spec(k.kind, n, t, /*max_deliveries=*/40000),
+            core::async_adversary_factory(adv, t), /*trials=*/30,
+            /*seed0=*/500, ctx);
         std::printf("async %s %s ", k.kname, adv);
         print_measure_one("", threads, rep);
       }
@@ -116,10 +97,9 @@ int main(int argc, char** argv) {
     {
       core::ExhaustiveOptions opt;
       opt.max_depth = 3;
-      opt.parallel = par;
       const auto th = protocols::canonical_thresholds(8, 1);
-      const auto rep =
-          core::exhaustive_check(1, th, protocols::split_inputs(8, 0.5), opt);
+      const auto rep = core::exhaustive_check(
+          1, th, protocols::split_inputs(8, 0.5), opt, ctx);
       std::printf("exhaustive threads=%d configs=%" PRId64 " transitions=%" PRId64
                   " depth=%d budget=%d agree=%d valid=%d\n",
                   threads, rep.configs_explored, rep.transitions,
@@ -128,16 +108,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- harness experiments (thread-independent single runs) ----
+  // ---- single Runner runs (thread-independent); the "harness-" tags are
+  // kept so the output diffs line for line against older builds ----
   for (const auto& k : kinds) {
     for (const char* adv :
          {"fair", "silencer", "split-keeper", "reset-storm", "random"}) {
       const int n = 16;
       const int t = 2;
-      auto a = window_factory(adv, t)(7);
-      const auto r = core::run_window_experiment(
-          k.kind, protocols::split_inputs(n, 0.5), t, *a,
-          /*max_windows=*/500, /*seed=*/77);
+      auto a = core::window_adversary_factory(adv, t)(7);
+      const auto r = core::Runner(spec(k.kind, n, t, /*max_windows=*/500))
+                         .run_window(*a, /*seed=*/77);
       std::printf("harness-window %s %s decided=%d all=%d val=%d wtf=%" PRId64
                   " wins=%" PRId64 " steps=%" PRId64 " resets=%" PRId64
                   " agree=%d valid=%d\n",
@@ -148,10 +128,10 @@ int main(int argc, char** argv) {
     for (const char* adv : {"random-async", "fixed-crash", "async-split"}) {
       const int n = 10;
       const int t = 2;
-      auto a = async_factory(adv, t)(11);
-      const auto r = core::run_async_experiment(
-          k.kind, protocols::split_inputs(n, 0.5), t, *a,
-          /*max_deliveries=*/60000, /*seed=*/33);
+      auto a = core::async_adversary_factory(adv, t)(11);
+      const auto r =
+          core::Runner(spec(k.kind, n, t, /*max_deliveries=*/60000))
+              .run_async(*a, /*seed=*/33);
       std::printf("harness-async %s %s decided=%d all=%d val=%d deliv=%" PRId64
                   " chain=%" PRId64 " crashes=%" PRId64
                   " limit=%d agree=%d valid=%d\n",
@@ -162,15 +142,16 @@ int main(int argc, char** argv) {
     }
   }
 
-  // ---- Byzantine harness ----
+  // ---- Byzantine runs ----
   for (const char* adv : {"fair", "silencer", "split-keeper"}) {
     const int n = 16;
     const int t = 2;
-    auto a = window_factory(adv, t)(3);
-    const auto r = core::run_byzantine_window_experiment(
-        protocols::ProtocolKind::Reset, protocols::split_inputs(n, 0.5), t,
-        /*byz_count=*/2, protocols::ByzantineStrategy::Equivocate, *a,
-        /*max_windows=*/500, /*seed=*/13, /*pre_crashed=*/{5});
+    auto a = core::window_adversary_factory(adv, t)(3);
+    core::Experiment byz =
+        spec(protocols::ProtocolKind::Reset, n, t, /*max_windows=*/500);
+    byz.byzantine = core::ByzantineSpec{
+        2, protocols::ByzantineStrategy::Equivocate, /*pre_crashed=*/{5}};
+    const auto r = core::Runner(std::move(byz)).run_byzantine(*a, /*seed=*/13);
     std::printf("harness-byz %s hd=%d had=%d ha=%d hv=%d wins=%" PRId64 "\n",
                 adv, r.honest_decided, r.honest_all_decided ? 1 : 0,
                 r.honest_agreement ? 1 : 0, r.honest_validity ? 1 : 0,

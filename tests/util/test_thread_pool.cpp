@@ -3,40 +3,14 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/thread_pool.hpp"
 
 namespace aa {
 namespace {
-
-TEST(ThreadPool, RunsEverySubmittedJob) {
-  ThreadPool pool(4);
-  std::atomic<int> hits{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.submit([&hits] { hits.fetch_add(1, std::memory_order_relaxed); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(hits.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleIsReusable) {
-  ThreadPool pool(2);
-  std::atomic<int> hits{0};
-  pool.submit([&hits] { ++hits; });
-  pool.wait_idle();
-  EXPECT_EQ(hits.load(), 1);
-  pool.submit([&hits] { ++hits; });
-  pool.submit([&hits] { ++hits; });
-  pool.wait_idle();
-  EXPECT_EQ(hits.load(), 3);
-}
-
-TEST(ThreadPool, PropagatesJobException) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-}
 
 TEST(ParallelConfig, ResolvesThreadCounts) {
   EXPECT_EQ(ParallelConfig{}.resolved_threads(), 1);
@@ -58,44 +32,107 @@ TEST(ParallelForChunks, ChunkingDependsOnlyOnTotalAndChunkSize) {
 }
 
 TEST(ParallelForChunks, CoversEveryIndexExactlyOnce) {
-  for (const int threads : {1, 3, 8}) {
-    const ParallelConfig cfg{.threads = threads, .chunk_size = 7};
-    const std::int64_t total = 95;
-    std::vector<std::atomic<int>> visits(static_cast<std::size_t>(total));
-    parallel_for_chunks(total, cfg,
-                        [&](int, std::int64_t begin, std::int64_t end) {
-                          for (std::int64_t i = begin; i < end; ++i) {
-                            ++visits[static_cast<std::size_t>(i)];
-                          }
-                        });
-    for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
+  // Inline (no pool) and pooled, across thread counts and chunk sizes; the
+  // pool is reused by every call.
+  WorkStealingPool pool(4);
+  for (WorkStealingPool* p : {static_cast<WorkStealingPool*>(nullptr), &pool}) {
+    for (const ParallelConfig cfg :
+         {ParallelConfig{.threads = 1, .chunk_size = 7},
+          ParallelConfig{.threads = 3, .chunk_size = 7},
+          ParallelConfig{.threads = 8, .chunk_size = 7},
+          ParallelConfig{.threads = 4, .chunk_size = 1},
+          ParallelConfig{.threads = 1, .chunk_size = 5}}) {
+      const std::int64_t total = 95;
+      std::vector<std::atomic<int>> visits(static_cast<std::size_t>(total));
+      parallel_for_chunks(
+          total, cfg,
+          [&](int, std::int64_t begin, std::int64_t end) {
+            for (std::int64_t i = begin; i < end; ++i) {
+              ++visits[static_cast<std::size_t>(i)];
+            }
+          },
+          p);
+      for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
+    }
   }
 }
 
 TEST(ParallelForChunks, ChunkIndexMatchesRange) {
-  const ParallelConfig cfg{.threads = 4, .chunk_size = 10};
-  std::vector<std::pair<std::int64_t, std::int64_t>> ranges(
-      static_cast<std::size_t>(chunk_count(42, cfg)));
-  parallel_for_chunks(42, cfg,
-                      [&](int ci, std::int64_t begin, std::int64_t end) {
-                        ranges[static_cast<std::size_t>(ci)] = {begin, end};
-                      });
-  ASSERT_EQ(ranges.size(), 5u);
-  for (std::size_t ci = 0; ci < ranges.size(); ++ci) {
-    EXPECT_EQ(ranges[ci].first, static_cast<std::int64_t>(ci) * 10);
-    EXPECT_EQ(ranges[ci].second,
-              std::min<std::int64_t>(42, (static_cast<std::int64_t>(ci) + 1) * 10));
+  WorkStealingPool pool(4);
+  for (WorkStealingPool* p : {static_cast<WorkStealingPool*>(nullptr), &pool}) {
+    const ParallelConfig cfg{.threads = 4, .chunk_size = 10};
+    std::vector<std::pair<std::int64_t, std::int64_t>> ranges(
+        static_cast<std::size_t>(chunk_count(42, cfg)));
+    parallel_for_chunks(
+        42, cfg,
+        [&](int ci, std::int64_t begin, std::int64_t end) {
+          ranges[static_cast<std::size_t>(ci)] = {begin, end};
+        },
+        p);
+    ASSERT_EQ(ranges.size(), 5u);
+    for (std::size_t ci = 0; ci < ranges.size(); ++ci) {
+      EXPECT_EQ(ranges[ci].first, static_cast<std::int64_t>(ci) * 10);
+      EXPECT_EQ(ranges[ci].second,
+                std::min<std::int64_t>(
+                    42, (static_cast<std::int64_t>(ci) + 1) * 10));
+    }
   }
 }
 
+TEST(ParallelForChunks, InlineWithoutPoolRunsChunksInOrder) {
+  // A null pool (or a one-thread config) runs every chunk on the calling
+  // thread, in chunk order, whatever the config's thread count says.
+  WorkStealingPool pool(4);
+  for (const auto& [p, threads] :
+       {std::pair<WorkStealingPool*, int>{nullptr, 8},
+        std::pair<WorkStealingPool*, int>{&pool, 1}}) {
+    const ParallelConfig cfg{.threads = threads, .chunk_size = 3};
+    std::vector<int> order;
+    const std::thread::id caller = std::this_thread::get_id();
+    parallel_for_chunks(
+        20, cfg,
+        [&](int ci, std::int64_t, std::int64_t) {
+          EXPECT_EQ(std::this_thread::get_id(), caller);
+          order.push_back(ci);
+        },
+        p);
+    std::vector<int> expected(static_cast<std::size_t>(chunk_count(20, cfg)));
+    std::iota(expected.begin(), expected.end(), 0);
+    EXPECT_EQ(order, expected);
+  }
+}
+
+TEST(ParallelForChunks, ReusesOnePoolAcrossCalls) {
+  // Successive calls on one long-lived pool each wait for exactly their
+  // own chunks.
+  WorkStealingPool pool(2);
+  const ParallelConfig cfg{.threads = 2, .chunk_size = 1};
+  std::atomic<int> hits{0};
+  const auto count = [&hits](int, std::int64_t begin, std::int64_t end) {
+    hits.fetch_add(static_cast<int>(end - begin), std::memory_order_relaxed);
+  };
+  parallel_for_chunks(1, cfg, count, &pool);
+  EXPECT_EQ(hits.load(), 1);
+  parallel_for_chunks(2, cfg, count, &pool);
+  EXPECT_EQ(hits.load(), 3);
+  parallel_for_chunks(100, cfg, count, &pool);
+  EXPECT_EQ(hits.load(), 103);
+}
+
 TEST(ParallelForChunks, PropagatesBodyException) {
-  const ParallelConfig cfg{.threads = 4, .chunk_size = 1};
-  EXPECT_THROW(
-      parallel_for_chunks(16, cfg,
-                          [](int ci, std::int64_t, std::int64_t) {
-                            if (ci == 7) throw std::runtime_error("chunk 7");
-                          }),
-      std::runtime_error);
+  WorkStealingPool pool(4);
+  for (WorkStealingPool* p : {static_cast<WorkStealingPool*>(nullptr), &pool}) {
+    for (const int threads : {1, 4}) {
+      const ParallelConfig cfg{.threads = threads, .chunk_size = 1};
+      EXPECT_THROW(parallel_for_chunks(
+                       16, cfg,
+                       [](int ci, std::int64_t, std::int64_t) {
+                         if (ci == 7) throw std::runtime_error("chunk 7");
+                       },
+                       p),
+                   std::runtime_error);
+    }
+  }
 }
 
 // ---- WorkStealingPool ------------------------------------------------------
@@ -174,38 +211,6 @@ TEST(WorkStealingPool, WaitRethrowsFirstError) {
     });
   }
   EXPECT_THROW(group.wait(), std::runtime_error);
-}
-
-TEST(ParallelForChunks, WorkStealingOverloadVisitsEveryIndexOnce) {
-  WorkStealingPool pool(4);
-  for (const ParallelConfig cfg :
-       {ParallelConfig{.threads = 4, .chunk_size = 7},
-        ParallelConfig{.threads = 4, .chunk_size = 1},
-        ParallelConfig{.threads = 1, .chunk_size = 5}}) {
-    const std::int64_t total = 95;
-    std::vector<std::atomic<int>> visits(static_cast<std::size_t>(total));
-    parallel_for_chunks(
-        total, cfg,
-        [&](int, std::int64_t begin, std::int64_t end) {
-          for (std::int64_t i = begin; i < end; ++i) {
-            ++visits[static_cast<std::size_t>(i)];
-          }
-        },
-        pool);
-    for (const auto& v : visits) EXPECT_EQ(v.load(), 1);
-  }
-}
-
-TEST(ParallelForChunks, WorkStealingOverloadPropagatesException) {
-  WorkStealingPool pool(4);
-  const ParallelConfig cfg{.threads = 4, .chunk_size = 1};
-  EXPECT_THROW(parallel_for_chunks(
-                   16, cfg,
-                   [](int ci, std::int64_t, std::int64_t) {
-                     if (ci == 7) throw std::runtime_error("chunk 7");
-                   },
-                   pool),
-               std::runtime_error);
 }
 
 }  // namespace
