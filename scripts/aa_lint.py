@@ -21,7 +21,11 @@ across resume/chaos/replay — rests on invariants no compiler checks:
                        (scratch-reusing planning); the positional
                        run_*_experiment wrappers and their core harness
                        header were replaced by Experiment + Runner, and
-                       the FIFO thread pool by WorkStealingPool.
+                       the FIFO thread pool by WorkStealingPool; the
+                       per-id deliver_run( / deliver_lazy( delivery path
+                       by the one deliver_plan_row / receiving_step
+                       pipeline, and advance_window_keep_pending( went
+                       with its last caller.
   envelope-member      No raw Envelope* stored in a data member: envelope
                        views are invalidated by publication and window
                        sweeps (the buffer.hpp contract), so a held pointer
@@ -118,13 +122,17 @@ RULES = [
             r"\bplan_window\s*\("
             r"|\brun_(?:window|async|byzantine_window)_experiment\s*\("
             r"|\bThreadPool\b"
+            r"|\b(?:deliver_lazy|deliver_run|advance_window_keep_pending)"
+            r"\s*\("
         ),
         dirs=("src/", "tools/", "examples/", "bench/"),
         allow=(),
         why="removed API — plan_window( became plan_window_into(; the "
             "run_*_experiment wrappers and their core harness header "
             "became Experiment + Runner; the FIFO thread pool became "
-            "WorkStealingPool",
+            "WorkStealingPool; deliver_run(/deliver_lazy( became the one "
+            "deliver_plan_row/receiving_step delivery pipeline; "
+            "advance_window_keep_pending( has no replacement",
         directive=re.compile(r"#\s*include\s*[<\"]core/harness\.hpp[>\"]"),
     ),
     Rule(

@@ -168,9 +168,8 @@ void MessageBuffer::unlink_receiver(std::int32_t s) {
   }
 }
 
-void MessageBuffer::unlink_window(std::int32_t s) {
+void MessageBuffer::unlink_window(std::int32_t s, WinList& wl) {
   Link& lk = links_[static_cast<std::size_t>(s)];
-  WinList& wl = win_list(envs_[static_cast<std::size_t>(s)].window);
   if (lk.prev_win != kNoSlot) {
     links_[static_cast<std::size_t>(lk.prev_win)].next_win = lk.next_win;
   } else {
@@ -184,16 +183,19 @@ void MessageBuffer::unlink_window(std::int32_t s) {
 }
 
 void MessageBuffer::retire(std::int32_t s) {
-  const auto si = static_cast<std::size_t>(s);
   unlink_receiver(s);
-  unlink_window(s);
+  unlink_window(s, win_list(envs_[static_cast<std::size_t>(s)].window));
+  release(s);
+  trim_window_ring();
+}
+
+void MessageBuffer::release(std::int32_t s) {
+  const auto si = static_cast<std::size_t>(s);
   const MsgId id = meta_[si].id;
   if (id < direct_base_) id_map_.erase(id);
   meta_[si].id = kNoMsg;
-  envs_[si].id = kNoMsg;
   links_[si].next_rcv = free_head_;
   free_head_ = s;
-  trim_window_ring();
 }
 
 void MessageBuffer::trim_window_ring() {
@@ -242,26 +244,13 @@ void MessageBuffer::spill_direct_index() {
   direct_base_ = next_id_;
 }
 
-void MessageBuffer::mark_delivered(MsgId id) {
+const Envelope& MessageBuffer::mark_delivered(MsgId id) {
   const std::int32_t s = slot_of(id);
   AA_CHECK(s != kNoSlot, "mark_delivered: message not pending");
   retire(s);
   --pending_;
   ++delivered_;
-}
-
-const Envelope* MessageBuffer::deliver_lazy(MsgId id, ProcId receiver) {
-  const std::int32_t s = slot_of(id);
-  if (s == kNoSlot) return nullptr;
-  const auto si = static_cast<std::size_t>(s);
-  AA_CHECK(meta_[si].receiver == receiver,
-           "deliver_lazy: message addressed to a different receiver");
-  unlink_receiver(s);
-  if (id < direct_base_) id_map_.erase(id);
-  meta_[si].id = kNoMsg;  // park: off the live index, awaiting the sweep
-  --pending_;
-  ++delivered_;
-  return &envs_[si];
+  return envs_[static_cast<std::size_t>(s)];
 }
 
 int MessageBuffer::deliver_window_run_to(ProcId receiver, std::int64_t w,
@@ -274,7 +263,7 @@ int MessageBuffer::deliver_window_run_to(ProcId receiver, std::int64_t w,
       w >= win_base_ + static_cast<std::int64_t>(win_count_)) {
     return 0;  // no list for w, so nothing pending in it
   }
-  const WinList& wl = win_list(w);
+  WinList& wl = win_list(w);
   if (wl.head == kNoSlot) return 0;
   // Window test: the list's id range when exact, the envelope field as the
   // cold fallback (only reachable through raw interleaved-window usage).
@@ -297,10 +286,10 @@ int MessageBuffer::deliver_window_run_to(ProcId receiver, std::int64_t w,
         (sender_stamp == nullptr ||
          sender_stamp[static_cast<std::size_t>(mt.sender)] == epoch);
     if (take) {
-      // Park the slot like deliver_lazy: off the receiver list and the
-      // live index now, recycled by the caller's eventual window-w sweep.
-      if (mt.id < direct_base_) id_map_.erase(mt.id);
-      mt.id = kNoMsg;
+      // Retire like mark_delivered; the receiver list is relinked around
+      // the taken slots by this walk itself.
+      unlink_window(s, wl);
+      release(s);
       out.push_back(&envs_[si]);
       ++delivered;
     } else {
@@ -321,6 +310,7 @@ int MessageBuffer::deliver_window_run_to(ProcId receiver, std::int64_t w,
   rcv_tail_[static_cast<std::size_t>(receiver)] = prev_kept;
   pending_ -= static_cast<std::size_t>(delivered);
   delivered_ += static_cast<std::size_t>(delivered);
+  trim_window_ring();
   return delivered;
 }
 
@@ -346,23 +336,15 @@ std::size_t MessageBuffer::drop_pending_in_window(std::int64_t w) {
   while (s != kNoSlot) {
     const auto si = static_cast<std::size_t>(s);
     const std::int32_t next = links_[si].next_win;
-    if (meta_[si].id == kNoMsg) {
-      // Parked: deliver_lazy / the bulk run already unlinked and unindexed
-      // it — just recycle the slot.
-    } else {
-      // A still-pending slot swept at the window edge is exactly the
-      // model's suppression event: the adversary never let it deliver.
-      if (trace_ != nullptr) {
-        trace_->on_suppress(meta_[si].sender, meta_[si].receiver);
-      }
-      unlink_receiver(s);
-      if (meta_[si].id < direct_base_) id_map_.erase(meta_[si].id);
-      meta_[si].id = kNoMsg;
-      ++dropped;
+    // Every slot on the list is still pending: sweeping it at the window
+    // edge is exactly the model's suppression event — the adversary never
+    // let it deliver.
+    if (trace_ != nullptr) {
+      trace_->on_suppress(meta_[si].sender, meta_[si].receiver);
     }
-    envs_[si].id = kNoMsg;
-    links_[si].next_rcv = free_head_;
-    free_head_ = s;
+    unlink_receiver(s);
+    release(s);
+    ++dropped;
     s = next;
   }
   win_list(w) = WinList{};
@@ -386,8 +368,8 @@ std::size_t MessageBuffer::drop_pending_in_window(std::int64_t w) {
 void MessageBuffer::audit() const {
   // Per-slot lifecycle classification discovered by walking the structures:
   // 0 = unseen, 1 = on a receiver list (pending, window membership not yet
-  // confirmed), 2 = parked on a window list, 3 = pending confirmed on both
-  // lists, 4 = on the free list. Every slot must end in {2, 3, 4}.
+  // confirmed), 2 = pending confirmed on both lists, 3 = on the free list.
+  // Every slot must end in {2, 3}.
   const std::size_t cap = envs_.size();
   AA_CHECK(meta_.size() == cap && links_.size() == cap,
            "audit: SoA slot arrays out of lockstep");
@@ -416,8 +398,7 @@ void MessageBuffer::audit() const {
       const Envelope& env = envs_[si];
       AA_CHECK(links_[si].prev_rcv == prev,
                "audit: receiver list prev link disagrees with walk");
-      AA_CHECK(mt.id != kNoMsg,
-               "audit: parked or retired slot on a receiver list");
+      AA_CHECK(mt.id != kNoMsg, "audit: retired slot on a receiver list");
       AA_CHECK(mt.id < next_id_,
                "audit: slot id beyond the issued-id watermark");
       AA_CHECK(env.id == mt.id,
@@ -472,9 +453,8 @@ void MessageBuffer::audit() const {
   });
 
   // Window lists: doubly-linked, acyclic, ascending-id, window-consistent,
-  // ids inside the list's recorded range. Pending members must be exactly
-  // the receiver-list population; parked members (metadata id cleared, the
-  // envelope still carrying the id) must already be out of the live index.
+  // ids inside the list's recorded range, and populated by exactly the
+  // receiver-list (pending) slots.
   std::size_t pending_on_win_lists = 0;
   for (std::int64_t w = win_base_;
        w < win_base_ + static_cast<std::int64_t>(win_count_); ++w) {
@@ -491,32 +471,19 @@ void MessageBuffer::audit() const {
       const Envelope& env = envs_[si];
       AA_CHECK(links_[si].prev_win == prev,
                "audit: window list prev link disagrees with walk");
-      AA_CHECK(env.id != kNoMsg, "audit: retired slot on a window list");
+      AA_CHECK(meta_[si].id != kNoMsg, "audit: retired slot on a window list");
+      AA_CHECK(meta_[si].id == env.id,
+               "audit: slot metadata id disagrees with its envelope");
       AA_CHECK(env.window == w, "audit: slot on the wrong window list");
       AA_CHECK(env.id > last_id,
                "audit: window list ids not strictly ascending");
       AA_CHECK(wl.first_id != kNoMsg && env.id >= wl.first_id &&
                    env.id <= wl.last_id,
                "audit: window list id outside the list's recorded range");
-      if (meta_[si].id == kNoMsg) {
-        // Parked: off the receiver lists, and its id must no longer
-        // resolve (the direct tier disarms via the metadata id; the map
-        // tier must have been erased explicitly).
-        AA_CHECK(state[si] == 0,
-                 "audit: parked slot also reachable from a receiver list");
-        if (env.id < direct_base_) {
-          AA_CHECK(id_map_.find(env.id) == detail::MsgIdMap::kAbsent,
-                   "audit: parked slot's id still resolves in the id map");
-        }
-        state[si] = 2;
-      } else {
-        AA_CHECK(meta_[si].id == env.id,
-                 "audit: slot metadata id disagrees with its envelope");
-        AA_CHECK(state[si] == 1,
-                 "audit: window-list slot missing from its receiver list");
-        state[si] = 3;
-        ++pending_on_win_lists;
-      }
+      AA_CHECK(state[si] == 1,
+               "audit: window-list slot missing from its receiver list");
+      state[si] = 2;
+      ++pending_on_win_lists;
       last_id = env.id;
       prev = s;
       s = links_[si].next_win;
@@ -527,8 +494,8 @@ void MessageBuffer::audit() const {
   AA_CHECK(pending_on_win_lists == pending_,
            "audit: window lists do not cover the pending population");
 
-  // Free list (linked through next_rcv): acyclic, all members retired in
-  // BOTH arrays (a freed slot carries no id anywhere).
+  // Free list (linked through next_rcv): acyclic, every member retired
+  // (metadata id cleared; the envelope keeps its bytes until reuse).
   {
     std::int32_t s = free_head_;
     std::size_t steps = 0;
@@ -539,9 +506,9 @@ void MessageBuffer::audit() const {
       const auto si = static_cast<std::size_t>(s);
       AA_CHECK(state[si] == 0,
                "audit: free-list slot also reachable from a live list");
-      AA_CHECK(meta_[si].id == kNoMsg && envs_[si].id == kNoMsg,
+      AA_CHECK(meta_[si].id == kNoMsg,
                "audit: free-list slot still carries a live id");
-      state[si] = 4;
+      state[si] = 3;
       s = links_[si].next_rcv;
     }
   }
@@ -549,8 +516,8 @@ void MessageBuffer::audit() const {
   // Exactly-one-home: no slot may be leaked (unreachable) or stranded on a
   // receiver list without window membership.
   for (std::size_t i = 0; i < cap; ++i) {
-    AA_CHECK(state[i] == 2 || state[i] == 3 || state[i] == 4,
-             "audit: slot not in exactly one of pending/parked/free");
+    AA_CHECK(state[i] == 2 || state[i] == 3,
+             "audit: slot not in exactly one of pending/free");
   }
 
   // Lifecycle counters partition the full send history.
@@ -596,26 +563,12 @@ void MessageBuffer::WindowIterator::advance_to_nonempty_window() {
   const std::int64_t end =
       buf_->win_base_ + static_cast<std::int64_t>(buf_->win_count_);
   if (window_ < buf_->win_base_) window_ = buf_->win_base_ - 1;
-  while (cur_ < 0 && ++window_ < end) {
-    cur_ = buf_->win_list(window_).head;
-    skip_lazy();  // a list of only-parked slots counts as empty
-  }
-}
-
-void MessageBuffer::WindowIterator::skip_lazy() {
-  while (cur_ >= 0 && buf_->meta_[static_cast<std::size_t>(cur_)].id == kNoMsg) {
-    cur_ = buf_->links_[static_cast<std::size_t>(cur_)].next_win;
-  }
+  while (cur_ < 0 && ++window_ < end) cur_ = buf_->win_list(window_).head;
 }
 
 void MessageBuffer::WindowIterator::prefetch() {
-  std::int32_t s = cur_ < 0 ? kNoSlot
-                            : buf_->links_[static_cast<std::size_t>(cur_)]
-                                  .next_win;
-  while (s >= 0 && buf_->meta_[static_cast<std::size_t>(s)].id == kNoMsg) {
-    s = buf_->links_[static_cast<std::size_t>(s)].next_win;
-  }
-  next_ = s;
+  next_ = cur_ < 0 ? kNoSlot
+                   : buf_->links_[static_cast<std::size_t>(cur_)].next_win;
 }
 
 MessageBuffer::Range<MessageBuffer::PendingIterator> MessageBuffer::pending_to(

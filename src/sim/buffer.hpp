@@ -41,22 +41,19 @@
 // querying a retired id throws (std::logic_error), and is_pending(id) is the
 // only question that can be asked about the whole history.
 //
-// Envelope-view invalidation contract (batch API, SoA edition): references
-// returned by get()/iteration and the views handed out by deliver_lazy /
-// deliver_window_run_to point into the envelope array `envs_` and are
-// invalidated by
-//   (1) the next publication — a single add() OR any add_batch(), which may
-//       grow the envelope array (SoA does not change this: all three arrays
-//       grow together), and
-//   (2) for delivered (parked) slots, the drop_pending_in_window sweep of
-//       their send window, which recycles the slot; the parked id becomes
-//       REUSABLE arena space at that sweep, not before.
-// Range retirement does NOT add an invalidation point: rewinding the direct
-// index (the O(1) window-edge id retirement, or an explicit
-// spill_direct_index()) moves only id→slot bookkeeping and never touches
-// envelope storage. Within one acceptable window the engine publishes first
-// and delivers after, so views collected during the delivery phase stay
-// valid until the window's end_window sweep; holders that outlive a
+// Envelope-view invalidation contract: references returned by
+// get()/iteration and the views handed out by mark_delivered /
+// deliver_window_run_to point into the envelope array `envs_`. Every
+// delivery retires its slot at once (off both lists, off the id index,
+// onto the free list), but a retired slot keeps its envelope bytes until
+// the slot is reused — so there is exactly ONE invalidation point: the
+// next publication (a single add() OR any add_batch()), which may reuse a
+// freed slot or grow the envelope array. Neither the window sweep nor
+// range retirement (rewinding the direct index — the O(1) window-edge id
+// retirement, or an explicit spill_direct_index()) touches envelope
+// storage. Within one acceptable window the engine publishes first and
+// delivers after, so views collected during the delivery phase stay valid
+// through the protocol call that consumes them; holders that outlive a
 // publication (anything keeping a view across sending steps) must copy the
 // envelope out.
 #pragma once
@@ -234,37 +231,22 @@ class MessageBuffer {
   [[nodiscard]] bool is_pending(MsgId id) const;
 
   /// Transition pending → delivered and recycle the slot. Precondition:
-  /// pending (a retired id throws std::logic_error).
-  void mark_delivered(MsgId id);
+  /// pending (a retired id throws std::logic_error). Returns a view of the
+  /// delivered envelope, valid until the next publication.
+  const Envelope& mark_delivered(MsgId id);
 
-  /// Single-lookup LAZY delivery for the acceptable-window hot path: if
-  /// `id` is pending AND addressed to `receiver` (a mismatch throws
-  /// std::logic_error BEFORE any state changes), mark it delivered
-  /// (is_pending flips to false, the receiver list and id index are
-  /// updated, counters advance) and return a view of its envelope; if
-  /// already retired, return nullptr (ids never issued throw). Unlike
-  /// mark_delivered, the slot is NOT recycled yet: it stays parked on its
-  /// window list until drop_pending_in_window(its window) sweeps it onto
-  /// the free list in one bulk walk — that is what makes the per-message
-  /// cost low. The caller therefore MUST eventually drop the message's
-  /// window (run_acceptable_window's end_window does); the returned view
-  /// stays valid until then. Window iteration skips parked slots, so
-  /// mid-window queries stay exact.
-  const Envelope* deliver_lazy(MsgId id, ProcId receiver);
-
-  /// Whole-list delivery run — the bulk counterpart of deliver_lazy for the
-  /// window fast path. Walks `receiver`'s pending list once, in list (id)
-  /// order, and delivers every message sent in window `w` whose sender is
-  /// selected: all of them when `sender_stamp` is null, else exactly those
-  /// with sender_stamp[sender] == epoch. The window test is the window
-  /// list's recorded id range when its ids are contiguous (one metadata
-  /// compare, no envelope touch), the envelope's window field otherwise.
-  /// Delivered slots are parked lazily (same sweep obligation as
-  /// deliver_lazy: the caller MUST eventually drop window w) and their ids
-  /// leave the live index WITHOUT any hash work; unselected messages stay
-  /// pending, relinked in one pass. Appends one envelope view per delivery
-  /// to `out` (valid until the next publication or the window sweep) and
-  /// returns the number delivered.
+  /// The window delivery walk behind Execution::deliver_plan_row. Walks
+  /// `receiver`'s pending list once, in list (id) order, and delivers
+  /// every message sent in window `w` whose sender is selected: all of
+  /// them when `sender_stamp` is null, else exactly those with
+  /// sender_stamp[sender] == epoch. The window test is the window list's
+  /// recorded id range when its ids are contiguous (one metadata compare,
+  /// no envelope touch), the envelope's window field otherwise. Each
+  /// delivered slot is retired on the spot, exactly as mark_delivered
+  /// retires one, without any hash work for directly indexed ids;
+  /// unselected messages stay pending, relinked in the same pass. Appends
+  /// one envelope view per delivery to `out` (valid until the next
+  /// publication) and returns the number delivered.
   int deliver_window_run_to(ProcId receiver, std::int64_t w,
                             const std::uint64_t* sender_stamp,
                             std::uint64_t epoch,
@@ -286,17 +268,17 @@ class MessageBuffer {
   /// Migrate every live directly-indexed id into the straggler hash map and
   /// rewind the direct index to start at the current id watermark. Purely
   /// an id→slot bookkeeping move: no envelope storage is touched, no view
-  /// is invalidated, and every query answers identically. Called by the
-  /// engine when a window advances while messages stay pending (the async /
-  /// keep-pending regimes, where no sweep will ever empty the window), and
-  /// internally when the direct index outgrows its size bound.
+  /// is invalidated, and every query answers identically. Called by
+  /// add_batch when the direct index outgrows its size bound (the async
+  /// regime, where no window sweep ever rewinds the index).
   void spill_direct_index();
 
   /// Install (or clear, with nullptr) the accountability lens: every drop
   /// of a still-PENDING message — mark_dropped or the end-of-window sweep —
-  /// reports (sender, receiver) to trace->on_suppress. Lazily-delivered
-  /// slots recycled by the sweep are NOT suppressions. The trace outlives
-  /// the buffer's run; Execution re-installs it on construction and reset.
+  /// reports (sender, receiver) to trace->on_suppress. Delivered messages
+  /// never reach the sweep, so they are never suppressions. The trace
+  /// outlives the buffer's run; Execution re-installs it on construction
+  /// and reset.
   void set_trace(lens::WindowTrace* trace) noexcept { trace_ = trace; }
 
   // ---- allocation-free iteration (ascending-id order) --------------------
@@ -337,7 +319,6 @@ class MessageBuffer {
     WindowIterator(const MessageBuffer* buf, std::int32_t slot,
                    std::int64_t window, bool all_windows)
         : buf_(buf), cur_(slot), window_(window), all_windows_(all_windows) {
-      skip_lazy();
       if (all_windows_) advance_to_nonempty_window();
       prefetch();
     }
@@ -353,7 +334,6 @@ class MessageBuffer {
 
    private:
     void advance_to_nonempty_window();
-    void skip_lazy();
     void prefetch();
 
     const MessageBuffer* buf_;
@@ -429,10 +409,9 @@ class MessageBuffer {
   /// (every pending id at or above the direct base resolves through the
   /// direct index, every older one through the straggler map, and both
   /// structures hold nothing else), SoA lockstep (metadata id mirrors the
-  /// envelope id on every live slot), lazy-parked slot accounting,
-  /// free-list integrity, and that every slot is in exactly one of
-  /// {pending, parked, free} with the lifecycle counters summing to
-  /// total_sent(). Throws std::logic_error on the first violation.
+  /// envelope id on every live slot), free-list integrity, and that every
+  /// slot is in exactly one of {pending, free} with the lifecycle counters
+  /// summing to total_sent(). Throws std::logic_error on the first violation.
   /// O(slots) with scratch allocation — meant for window boundaries under
   /// ExecutionConfig::audit, self-tests, and post-reset validation, not the
   /// hot path.
@@ -453,17 +432,18 @@ class MessageBuffer {
   };
 
   /// Hot 16-byte per-slot metadata: everything the delivery walk and the
-  /// plan-validation scan filter on. `id == kNoMsg` means the slot is NOT
-  /// pending — either parked (delivered, awaiting its window sweep; the
-  /// envelope still carries the id) or free (envelope id is kNoMsg too).
+  /// plan-validation scan filter on. `id` is the slot's only liveness
+  /// marker: kNoMsg means the slot is free (its envelope keeps the retired
+  /// message's bytes until the slot is reused).
   struct Meta {
     MsgId id = kNoMsg;
     ProcId receiver = -1;
     ProcId sender = -1;
   };
 
-  /// One send-window's pending list plus its member id range. `first_id` /
-  /// `last_id` bound every id ever linked onto the list; while
+  /// One send-window's pending list plus its member id range. The list
+  /// holds pending slots only (delivered and dropped ids leave it at once).
+  /// `first_id` / `last_id` bound every id ever linked onto the list; while
   /// `contiguous` holds (no other window's ids were interleaved between
   /// this window's batches — always true under the engine's
   /// one-window-at-a-time publication), membership in [first_id, last_id]
@@ -487,10 +467,15 @@ class MessageBuffer {
   /// never issued. Two-tier: dense direct-index load for ids >=
   /// direct_base_, straggler hash map below it.
   [[nodiscard]] std::int32_t slot_of(MsgId id) const;
-  /// Unlink from both lists, erase the id mapping, push onto the free list.
+  /// Unlink from both lists, then release().
   void retire(std::int32_t slot);
+  /// Drop the slot's id from the live index (the straggler map holds it
+  /// when it is below the direct base) and push the slot onto the free
+  /// list. The caller has already unlinked it from the receiver list and,
+  /// outside the window sweep, from its window list.
+  void release(std::int32_t slot);
   void unlink_receiver(std::int32_t slot);
-  void unlink_window(std::int32_t slot);
+  void unlink_window(std::int32_t slot, WinList& wl);
   /// Pop leading empty window lists (the newest list always survives so a
   /// re-send into the current window can extend it).
   void trim_window_ring();

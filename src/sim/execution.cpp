@@ -1,7 +1,5 @@
 #include "sim/execution.hpp"
 
-#include <algorithm>
-
 #include "lens/trace.hpp"
 #include "util/check.hpp"
 
@@ -67,6 +65,7 @@ void Execution::reset(std::vector<std::unique_ptr<Process>> procs,
   events_.clear();
   published_.clear();
   run_envs_.clear();
+  run_scatter_.clear();
   // Scratch arrays keep their (epoch-stamped) contents; only the run-scoped
   // bookkeeping must forget the previous trial. collect_window = -1 disarms
   // batch collection (window_ restarts at 0), and clearing the planner
@@ -159,6 +158,7 @@ void Execution::begin_window_batch() {
     sc.rcv_stamp.assign(n, 0);
     sc.rcv_total.assign(n, 0);
     sc.member_stamp.assign(n, 0);
+    sc.run_at.assign(n, 0);
     sc.pair_begin.assign(n * (n + 1), 0);
   }
   sc.batch.clear();
@@ -175,49 +175,12 @@ WindowBatch Execution::window_batch() const {
 
 void Execution::receiving_step(MsgId id) {
   AA_CHECK(buffer_.is_pending(id), "receiving_step: message not pending");
-  // Copy: mark_delivered retires the arena slot this reference points into.
-  const Envelope env = buffer_.get(id);
-  const ProcId p = env.receiver;
+  const ProcId p = buffer_.get(id).receiver;
   AA_CHECK(!crashed_[static_cast<std::size_t>(p)],
            "receiving_step: delivery to a crashed processor");
-  record(StepKind::Receive, p, id);
-  buffer_.mark_delivered(id);
-  if (cfg_.lens != nullptr) cfg_.lens->on_deliver(env, window_, steps_);
-  chain_[static_cast<std::size_t>(p)] =
-      std::max(chain_[static_cast<std::size_t>(p)], env.chain);
-  const int out_before = procs_[static_cast<std::size_t>(p)]->output();
-  procs_[static_cast<std::size_t>(p)]->on_receive(
-      env, rngs_[static_cast<std::size_t>(p)],
-      staged_[static_cast<std::size_t>(p)]);
-  check_output_write_once(p, out_before);
-}
-
-int Execution::deliver_run(ProcId receiver, std::span<const MsgId> ids) {
-  AA_REQUIRE(receiver >= 0 && receiver < n_, "deliver_run: bad receiver id");
-  AA_CHECK(!crashed_[static_cast<std::size_t>(receiver)],
-           "deliver_run: delivery to a crashed processor");
-  // Deliver each id up front (lazily: the slots stay parked on their
-  // window list until end_window sweeps them), collecting envelope views
-  // that stay valid through on_receive_batch.
   run_envs_.clear();
-  std::int64_t& chain = chain_[static_cast<std::size_t>(receiver)];
-  for (const MsgId id : ids) {
-    // deliver_lazy rejects a wrong-receiver id before touching any state.
-    const Envelope* env = buffer_.deliver_lazy(id, receiver);
-    if (env == nullptr) continue;  // already retired — nothing to deliver
-    record(StepKind::Receive, receiver, id);
-    if (cfg_.lens != nullptr) cfg_.lens->on_deliver(*env, window_, steps_);
-    if (env->chain > chain) chain = env->chain;
-    run_envs_.push_back(env);
-  }
-  if (run_envs_.empty()) return 0;
-  const int out_before =
-      procs_[static_cast<std::size_t>(receiver)]->output();
-  procs_[static_cast<std::size_t>(receiver)]->on_receive_batch(
-      run_envs_, rngs_[static_cast<std::size_t>(receiver)],
-      staged_[static_cast<std::size_t>(receiver)]);
-  check_output_write_once(receiver, out_before);
-  return static_cast<int>(run_envs_.size());
+  run_envs_.push_back(&buffer_.mark_delivered(id));
+  consume_run(p);
 }
 
 int Execution::deliver_plan_row(ProcId receiver, std::span<const ProcId> row) {
@@ -229,58 +192,71 @@ int Execution::deliver_plan_row(ProcId receiver, std::span<const ProcId> row) {
            "deliver_plan_row: no batch collected for the current window");
   const WindowBatch batch(&sc, n_);
 
-  // Fast-path eligibility: list order (ascending id ⇒ ascending sender
-  // within one window) must equal plan order, i.e. the row's
-  // senders-with-messages must already be ascending. Senders that sent
+  // The receiver's pending list is in publication order, so the walk below
+  // already yields plan order iff the row's senders-with-messages appear in
+  // publication order (their first_index ranks ascend). Senders that sent
   // nothing to this receiver are order-irrelevant no-ops.
-  bool ascending = true;
-  ProcId last = -1;
+  bool in_order = true;
+  std::int32_t last_rank = -1;
   std::int64_t covered = 0;
   const std::uint64_t member_epoch = ++sc.member_epoch;
   for (const ProcId s : row) {
     AA_REQUIRE(s >= 0 && s < n_, "deliver_plan_row: sender id out of range");
     sc.member_stamp[static_cast<std::size_t>(s)] = member_epoch;
+    sc.run_at[static_cast<std::size_t>(s)] = 0;
     const std::int32_t c = batch.count(s, receiver);
     if (c == 0) continue;
-    if (s < last) ascending = false;
-    last = s;
+    const std::int32_t rank = batch.first_index(s);
+    if (rank < last_rank) in_order = false;
+    last_rank = rank;
     covered += c;
   }
   if (covered == 0) return 0;  // row senders published nothing to receiver
 
-  if (ascending) {
-    // Whole-list fast path: consume the receiver's pending list in one
-    // splice. A full cover (row ⊇ every sender with messages) needs no
-    // membership test at all; a partial cover filters by the stamped row.
-    const bool full = covered == batch.count_to(receiver);
-    run_envs_.clear();
-    const int delivered = buffer_.deliver_window_run_to(
-        receiver, window_, full ? nullptr : sc.member_stamp.data(),
-        member_epoch, run_envs_);
-    std::int64_t& chain = chain_[static_cast<std::size_t>(receiver)];
+  // One walk consumes the run off the receiver's pending list. A full
+  // cover (row ⊇ every sender with messages) delivered in list order needs
+  // no membership test; otherwise the stamped row filters the walk.
+  const bool unfiltered = in_order && covered == batch.count_to(receiver);
+  run_envs_.clear();
+  buffer_.deliver_window_run_to(
+      receiver, window_, unfiltered ? nullptr : sc.member_stamp.data(),
+      member_epoch, run_envs_);
+  if (!in_order) {
+    // Regroup the run by sender in row order: count per sender, turn the
+    // counts into offsets along the row, scatter. Within a sender the
+    // walk's list order is already its send order.
     for (const Envelope* env : run_envs_) {
-      record(StepKind::Receive, receiver, env->id);
-      if (cfg_.lens != nullptr) cfg_.lens->on_deliver(*env, window_, steps_);
-      if (env->chain > chain) chain = env->chain;
+      ++sc.run_at[static_cast<std::size_t>(env->sender)];
     }
-    if (delivered == 0) return 0;
-    const int out_before =
-        procs_[static_cast<std::size_t>(receiver)]->output();
-    procs_[static_cast<std::size_t>(receiver)]->on_receive_batch(
-        run_envs_, rngs_[static_cast<std::size_t>(receiver)],
-        staged_[static_cast<std::size_t>(receiver)]);
-    check_output_write_once(receiver, out_before);
-    return delivered;
+    std::int32_t at = 0;
+    for (const ProcId s : row) {
+      const std::int32_t c = sc.run_at[static_cast<std::size_t>(s)];
+      sc.run_at[static_cast<std::size_t>(s)] = at;
+      at += c;
+    }
+    run_scatter_.resize(run_envs_.size());
+    for (const Envelope* env : run_envs_) {
+      run_scatter_[static_cast<std::size_t>(
+          sc.run_at[static_cast<std::size_t>(env->sender)]++)] = env;
+    }
+    run_envs_.swap(run_scatter_);
   }
+  return consume_run(receiver);
+}
 
-  // Slow path (genuinely adversarial order): gather the run in plan order
-  // from the pair index and deliver per id.
-  sc.run_ids.clear();
-  for (const ProcId s : row) {
-    const std::span<const MsgId> seg = batch.from_to(s, receiver);
-    sc.run_ids.insert(sc.run_ids.end(), seg.begin(), seg.end());
+int Execution::consume_run(ProcId receiver) {
+  if (run_envs_.empty()) return 0;
+  const auto r = static_cast<std::size_t>(receiver);
+  std::int64_t& chain = chain_[r];
+  for (const Envelope* env : run_envs_) {
+    record(StepKind::Receive, receiver, env->id);
+    if (cfg_.lens != nullptr) cfg_.lens->on_deliver(*env, window_, steps_);
+    if (env->chain > chain) chain = env->chain;
   }
-  return deliver_run(receiver, sc.run_ids);
+  const int out_before = procs_[r]->output();
+  procs_[r]->on_receive_batch(run_envs_, rngs_[r], staged_[r]);
+  check_output_write_once(receiver, out_before);
+  return static_cast<int>(run_envs_.size());
 }
 
 void Execution::resetting_step(ProcId p) {
@@ -311,16 +287,6 @@ void Execution::crash(ProcId p) {
 void Execution::end_window() {
   if (audit_due()) audit();
   buffer_.drop_pending_in_window(window_);
-  ++window_;
-}
-
-void Execution::advance_window_keep_pending() {
-  if (audit_due()) audit();
-  // The window advances with messages still pending, so no sweep will ever
-  // range-retire their ids: migrate them to the straggler map now and keep
-  // the direct index anchored at the current watermark. Pure id→slot
-  // bookkeeping — no delivery order or envelope view changes.
-  buffer_.spill_direct_index();
   ++window_;
 }
 

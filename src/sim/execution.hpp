@@ -52,8 +52,8 @@ struct Decision {
 struct ExecutionConfig {
   bool record_events = false;  ///< keep the full step log (memory-heavy)
   /// Run the invariant auditor (Execution::audit) at every window boundary
-  /// (end_window / advance_window_keep_pending). Opt-in: O(slots) per
-  /// window, meant for chaos runs, CI sanitizer jobs and debugging.
+  /// (end_window). Opt-in: O(slots) per window, meant for chaos runs, CI
+  /// sanitizer jobs and debugging.
   bool audit = false;
   /// Sampled auditing: audit at every Nth window boundary (those where
   /// window_index % N == 0; 0 = off). Cheap enough to leave on in Release
@@ -109,23 +109,8 @@ class Execution {
   SentBatch sending_step(ProcId p);
 
   /// Receiving step: deliver pending message `id` to its recipient and run
-  /// the (randomized) local computation.
+  /// the (randomized) local computation — a delivery run of one.
   void receiving_step(MsgId id);
-
-  /// Batched receiving steps: deliver every still-pending id in `ids` (in
-  /// order; all must be addressed to `receiver`) and run the local
-  /// computation ONCE over the whole run via Process::on_receive_batch.
-  /// The crash check and the output write-once snapshot happen once per
-  /// run instead of once per message; each delivery still counts as one
-  /// receiving step (step counter / event log). Returns the number of
-  /// messages delivered. Used by run_acceptable_window; for protocols that
-  /// honour the on_receive_batch contract this matches a receiving_step
-  /// per id in every observable EXCEPT the Decision record's step/chain
-  /// stamps, which carry end-of-run granularity (the decision's window and
-  /// value are exact; which message within the run triggered the write is
-  /// not reconstructed). Window-model consumers read windows, not steps —
-  /// the async model, whose chain metric is load-bearing, delivers per id.
-  int deliver_run(ProcId receiver, std::span<const MsgId> ids);
 
   // ---- bulk publication (the window driver's batch pipeline) ----
 
@@ -144,16 +129,22 @@ class Execution {
   [[nodiscard]] WindowBatch window_batch() const;
 
   /// Deliver one receiver's whole window run given its plan row (the
-  /// ordered sender list, duplicate-free — validated plans are). Uses the
-  /// collected pair index (precondition: begin_window_batch this window).
-  /// When the row's senders-with-messages appear in ascending order, the
-  /// delivery sequence equals the receiver's pending-list order and the
-  /// run is consumed in one whole-list splice (bulk lazy delivery, a
-  /// single on_receive_batch) — no per-message id-map lookups. A full
-  /// cover of the receiver's window messages skips even the sender
-  /// membership test. Rows in non-ascending (genuinely adversarial) order
-  /// fall back to the per-id gather + deliver_run slow path, which is
-  /// observationally identical. Returns the number delivered.
+  /// ordered sender list, duplicate-free — validated plans are): every
+  /// message still pending to `receiver` from the row's senders in the
+  /// current window, grouped by sender in row order (send order within a
+  /// sender). Uses the collected pair index (precondition:
+  /// begin_window_batch this window). One walk of the receiver's pending
+  /// list collects the run — no per-message id lookups; a full cover in
+  /// publication order skips even the sender membership test, and a row
+  /// in any other order is regrouped into plan order in O(run). The local
+  /// computation then runs ONCE over the run via Process::on_receive_batch;
+  /// each delivery still counts as one receiving step (step counter /
+  /// event log). For protocols that honour the on_receive_batch contract
+  /// this matches a receiving_step per message in every observable EXCEPT
+  /// the Decision record's step/chain stamps, which carry end-of-run
+  /// granularity (the decision's window and value are exact). Window-model
+  /// consumers read windows, not steps — the async model, whose chain
+  /// metric is load-bearing, delivers per id. Returns the number delivered.
   int deliver_plan_row(ProcId receiver, std::span<const ProcId> row);
 
   /// Resetting step: erase `p`'s memory per §2 (input/output/id/reset
@@ -172,10 +163,6 @@ class Execution {
   /// sent in it (silenced senders' messages are never delivered under the
   /// acceptable-window regime) and advance the window counter.
   void end_window();
-
-  /// Advance the window counter WITHOUT dropping (async/crash model, where
-  /// every message must remain eligible for eventual delivery).
-  void advance_window_keep_pending();
 
   // ---- full-information views ----
 
@@ -236,6 +223,12 @@ class Execution {
  private:
   friend struct AuditTestAccess;
   void record(StepKind k, ProcId p, MsgId m = kNoMsg);
+  /// The one delivery tail: every delivery is a run collected into
+  /// run_envs_ (its slots already retired). Records each receiving step,
+  /// feeds the lens, raises the receiver's chain depth, runs the protocol
+  /// once over the run and checks the write-once output. Returns the run
+  /// length.
+  int consume_run(ProcId receiver);
   void check_output_write_once(ProcId p, int before);
   /// Whether this window boundary audits (cfg_.audit every window, or the
   /// cfg_.audit_every sampling period divides the window index).
@@ -253,10 +246,13 @@ class Execution {
   std::vector<Decision> decisions_;
   std::vector<Event> events_;
   std::vector<MsgId> published_;            ///< reused by sending_step
-  /// Reused by deliver_run; filled and consumed inside ONE run, never
-  /// held across publication or a window sweep (buffer.hpp contract).
-  // aa-lint: envelope-ok(transient deliver_run scratch, cleared per run)
+  /// The current delivery run (and the scatter buffer that regroups it
+  /// into plan order); filled and consumed inside ONE run, never held
+  /// across a publication (buffer.hpp contract).
+  // aa-lint: envelope-ok(transient delivery-run scratch, cleared per run)
   std::vector<const Envelope*> run_envs_;
+  // aa-lint: envelope-ok(transient delivery-run scratch, cleared per run)
+  std::vector<const Envelope*> run_scatter_;
   WindowScratch scratch_;
   std::int64_t window_ = 0;
   std::int64_t steps_ = 0;

@@ -67,10 +67,12 @@ struct WindowPlan {
 ///                  4 KiB per-window pair_count wipe is gone)
 ///   rcv_total    — per-receiver message totals this window (valid iff
 ///                  rcv_stamp[r] == batch_epoch), used by the whole-list
-///                  delivery fast path's coverage check
+///                  delivery walk's full-cover check
 ///   sort_begin / sort_order — Outbox::index_by_receiver output scratch
 ///   member_stamp — per-sender plan-row membership marks for the filtered
-///                  delivery fast path (epoch member_epoch)
+///                  delivery walk (epoch member_epoch)
+///   run_at       — per-sender counts, then offsets, that regroup one
+///                  receiver's delivery run into plan order
 ///   batch_epoch  — bumped by every begin_window_batch
 ///   collect_window — the window index being collected, or -1 when the
 ///                  execution is not in a collected window (async drivers
@@ -78,7 +80,6 @@ struct WindowPlan {
 ///
 /// Plan bookkeeping (driven by run_acceptable_window):
 ///   plan         — the adversary's reusable WindowPlan
-///   run_ids      — one receiver's delivery run, in plan order (slow path)
 ///   stamp, epoch — epoch-stamped duplicate detector for plan validation
 ///   planner, planner_t   — the (adversary, t) pairing prepare() last ran
 ///                          for on this execution; the driver re-prepares
@@ -99,11 +100,11 @@ struct WindowScratch {
   std::vector<std::int32_t> sort_begin;
   std::vector<std::uint32_t> sort_order;
   std::vector<std::uint64_t> member_stamp;
+  std::vector<std::int32_t> run_at;
   std::uint64_t member_epoch = 0;
   std::uint64_t batch_epoch = 0;
   std::int64_t collect_window = -1;
   WindowPlan plan;
-  std::vector<MsgId> run_ids;
   std::vector<std::uint64_t> stamp;
   std::uint64_t epoch = 0;
   const void* planner = nullptr;
@@ -192,6 +193,12 @@ class WindowBatch {
     const auto e = static_cast<std::size_t>(
         sc_->pair_begin[row + static_cast<std::size_t>(r) + 1]);
     return std::span<const MsgId>(sc_->pair_ids).subspan(b, e - b);
+  }
+
+  /// Offset of sender s's first id in ids() — its publication rank this
+  /// window. Meaningful only when s published (count(s, r) > 0 for some r).
+  [[nodiscard]] std::int32_t first_index(ProcId s) const {
+    return sc_->pair_begin[row_base(s)];
   }
 
   /// Total messages published to receiver r this window (all senders).

@@ -81,11 +81,9 @@ int run_acceptable_window(Execution& exec, WindowAdversary& adv, int t) {
     sc.plan_liveness_epoch = exec.liveness_epoch();
   }
 
-  // Batched delivery: each live receiver's whole run in one call —
-  // ascending plan rows are consumed straight off the receiver's pending
-  // list (whole-list splice, no per-message id-map lookups), adversarially
-  // ordered rows gather from the prebuilt pair index and fall back to the
-  // per-id deliver_run path.
+  // Batched delivery: each live receiver's whole run in one call — one walk
+  // of its pending list (no per-message id lookups), regrouped into plan
+  // order when the row is not in publication order.
   int deliveries = 0;
   for (ProcId i = 0; i < n; ++i) {
     if (exec.crashed(i)) continue;

@@ -32,11 +32,11 @@
 //     both the n² plan fill and validate_window_plan — unless a
 //     crash/reset changed liveness since the last validation, which forces
 //     one defensive re-validation.
-//   * deliveries run through Execution::deliver_plan_row: a plan row whose
-//     senders-with-messages are in ascending order is consumed straight
-//     off the receiver's pending list in one whole-list splice (bulk lazy
-//     delivery, a single Process::on_receive_batch); adversarially ordered
-//     rows fall back to the per-id gather + deliver_run path.
+//   * deliveries run through Execution::deliver_plan_row: each receiver's
+//     run is consumed off its pending list in one walk (slots retired on
+//     the spot), regrouped into plan order when the row's order differs
+//     from publication order, and handed to a single
+//     Process::on_receive_batch.
 #pragma once
 
 #include <span>

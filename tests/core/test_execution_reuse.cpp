@@ -135,7 +135,7 @@ TEST(ExecutionReuse, ScratchSurvivesModelSwitches) {
 
 TEST(ExecutionReuse, ResetClearsHostileMidWindowStateAndKeepsCapacity) {
   // Abandon an Execution at the nastiest possible point — mid-window, with
-  // pending messages to several receivers, lazy-parked slots from a bulk
+  // pending messages to several receivers, slots freed mid-window by a bulk
   // delivery run, a partially-consumed receiver list, a crashed processor
   // and a reset one — then reset() for a new trial. The auditor must pass
   // on the rebuilt state, grown capacities must survive, and the rebuilt
@@ -151,7 +151,7 @@ TEST(ExecutionReuse, ResetClearsHostileMidWindowStateAndKeepsCapacity) {
   for (sim::ProcId p = 0; p < n; ++p) (void)exec.sending_step(p);
   std::vector<sim::ProcId> row;
   for (sim::ProcId p = 0; p < n; ++p) row.push_back(p);
-  ASSERT_GT(exec.deliver_plan_row(0, row), 0);  // parks lazy slots
+  ASSERT_GT(exec.deliver_plan_row(0, row), 0);  // frees slots mid-window
   const auto to1 = exec.buffer().pending_to_ids(1);
   ASSERT_GE(to1.size(), 2u);
   exec.receiving_step(to1[0]);  // receiver 1's list partially consumed

@@ -146,8 +146,8 @@ TEST(WindowTrace, SuppressHooksExactAcrossStraddlingRunsAndSpill) {
   // Buffer-level: batch runs that straddle the recycled free list, a
   // mid-window spill of the direct id index, and sweeps that retire ids
   // through BOTH tiers. on_suppress must fire exactly once per undelivered
-  // message — parked (already delivered) slots swept in the same pass fire
-  // nothing.
+  // message — delivered slots are retired at delivery and never reach the
+  // sweep.
   const int n = 4;
   WindowTrace trace;
   trace.begin_trial(n);
@@ -156,14 +156,14 @@ TEST(WindowTrace, SuppressHooksExactAcrossStraddlingRunsAndSpill) {
   sim::Message m;
   m.kind = 1;
 
-  // Window 0: one run of 6; deliver 2 (parked), sweep the other 4 away.
+  // Window 0: one run of 6; deliver 2, sweep the other 4 away.
   std::vector<sim::StagedMessage> items;
   for (int k = 0; k < 6; ++k) {
     items.push_back({static_cast<sim::ProcId>(k % n), m});
   }
   const sim::MsgId first0 = buf.add_batch(0, items, /*window=*/0, 1);
-  ASSERT_NE(buf.deliver_lazy(first0, /*receiver=*/0), nullptr);
-  ASSERT_NE(buf.deliver_lazy(first0 + 1, /*receiver=*/1), nullptr);
+  EXPECT_EQ(buf.mark_delivered(first0).receiver, 0);
+  EXPECT_EQ(buf.mark_delivered(first0 + 1).receiver, 1);
   EXPECT_EQ(buf.drop_pending_in_window(0), 4u);
   EXPECT_EQ(trace.suppressed_total(0), 4);
 
@@ -177,8 +177,8 @@ TEST(WindowTrace, SuppressHooksExactAcrossStraddlingRunsAndSpill) {
   const sim::MsgId first1 = buf.add_batch(1, items, /*window=*/1, 2);
   EXPECT_EQ(first1, 6);
   buf.spill_direct_index();
-  // Parked via the straggler-map tier (the spill moved its id there).
-  ASSERT_NE(buf.deliver_lazy(first1, /*receiver=*/0), nullptr);
+  // Delivered via the straggler-map tier (the spill moved its id there).
+  EXPECT_EQ(buf.mark_delivered(first1).receiver, 0);
   buf.mark_dropped(first1 + 2);                     // explicit suppression
   EXPECT_EQ(buf.drop_pending_in_window(1), 7u);
   EXPECT_EQ(buf.pending_count(), 0u);

@@ -161,5 +161,32 @@ TEST(Arena, RecycledSlotsKeepIdsDistinct) {
   EXPECT_EQ(buf.slot_capacity(), 1u);
 }
 
+TEST(Arena, SlotDeliveredMidWindowIsReusedBeforeTheSweep) {
+  // Delivery retires a slot at once: the next publication reuses it inside
+  // the SAME window, before any drop_pending_in_window sweep runs, so the
+  // arena does not grow — for the bulk walk and the per-id path alike.
+  MessageBuffer buf(4);
+  Message m;
+  m.kind = 1;
+  const std::vector<StagedMessage> to0(4, StagedMessage{0, m});
+  const MsgId first = buf.add_batch(1, to0, /*window=*/0, 1);
+  EXPECT_EQ(buf.slot_capacity(), 4u);
+  std::vector<const Envelope*> run;
+  EXPECT_EQ(buf.deliver_window_run_to(0, /*w=*/0, nullptr, 0, run), 4);
+  ASSERT_EQ(run.size(), 4u);
+  EXPECT_EQ(run.front()->id, first);  // views stay valid until publication
+
+  const MsgId second = buf.add_batch(2, to0, /*window=*/0, 1);
+  EXPECT_EQ(buf.slot_capacity(), 4u);
+  for (MsgId id = second; id < second + 4; ++id) buf.mark_delivered(id);
+  buf.add_batch(3, to0, /*window=*/0, 1);
+  EXPECT_EQ(buf.slot_capacity(), 4u);
+  EXPECT_EQ(buf.pending_count(), 4u);
+  EXPECT_EQ(buf.delivered_count(), 8u);
+  EXPECT_NO_THROW(buf.audit());
+  EXPECT_EQ(buf.drop_pending_in_window(0), 4u);
+  EXPECT_NO_THROW(buf.audit());
+}
+
 }  // namespace
 }  // namespace aa::sim

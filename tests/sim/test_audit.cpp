@@ -26,12 +26,10 @@ struct AuditTestAccess {
   static void set_next_rcv(MessageBuffer& b, std::int32_t s, std::int32_t v) {
     b.links_[static_cast<std::size_t>(s)].next_rcv = v;
   }
-  /// Forge the parked state on a slot (clear / restore the metadata id the
-  /// SoA arena uses as its pending marker) — the analogue of the old
-  /// lazy-flag tamper.
-  static void set_parked(MessageBuffer& b, std::int32_t s, bool v) {
-    b.meta_[static_cast<std::size_t>(s)].id =
-        v ? kNoMsg : b.envs_[static_cast<std::size_t>(s)].id;
+  /// Clear the metadata id — the arena's only liveness marker — on a slot
+  /// that is still linked, as a retirement that forgot to unlink would.
+  static void clear_id(MessageBuffer& b, std::int32_t s) {
+    b.meta_[static_cast<std::size_t>(s)].id = kNoMsg;
   }
   static Envelope& env(MessageBuffer& b, std::int32_t s) {
     return b.envs_[static_cast<std::size_t>(s)];
@@ -68,9 +66,9 @@ struct AuditTestAccess {
 
 namespace {
 
-// A buffer exercising every slot state the auditor distinguishes: pending
-// (receiver + window lists), lazy-parked (window list only, id unmapped),
-// and free (retired via mark_delivered / mark_dropped).
+// A buffer exercising both slot states the auditor distinguishes: pending
+// (receiver + window lists) and free (retired via mark_delivered /
+// mark_dropped, the free list threaded through recycled slots).
 MessageBuffer busy_buffer() {
   MessageBuffer buf(4);
   for (ProcId s = 0; s < 4; ++s) {
@@ -79,7 +77,7 @@ MessageBuffer busy_buffer() {
     }
   }
   for (const MsgId id : buf.pending_to_ids(0)) {
-    EXPECT_NE(buf.deliver_lazy(id, 0), nullptr) << "id " << id;
+    EXPECT_EQ(buf.mark_delivered(id).receiver, 0) << "id " << id;
   }
   const std::vector<MsgId> to1 = buf.pending_to_ids(1);
   buf.mark_dropped(to1[0]);
@@ -98,7 +96,7 @@ MsgId live_id(MessageBuffer& buf) {
 TEST(BufferAudit, CleanBufferPasses) {
   MessageBuffer buf = busy_buffer();
   EXPECT_NO_THROW(buf.audit());
-  // And stays clean across the window sweep that recycles parked slots.
+  // And stays clean across the window sweep that drops the rest.
   buf.drop_pending_in_window(0);
   EXPECT_NO_THROW(buf.audit());
 }
@@ -128,10 +126,9 @@ TEST(BufferAudit, DetectsIdMapEntryMissingAfterSpill) {
   EXPECT_THROW(buf.audit(), std::logic_error);
 }
 
-TEST(BufferAudit, DetectsParkedStateOnLinkedSlot) {
+TEST(BufferAudit, DetectsClearedIdOnReceiverListSlot) {
   MessageBuffer buf = busy_buffer();
-  AuditTestAccess::set_parked(buf, AuditTestAccess::slot_of(buf, live_id(buf)),
-                              true);
+  AuditTestAccess::clear_id(buf, AuditTestAccess::slot_of(buf, live_id(buf)));
   EXPECT_THROW(buf.audit(), std::logic_error);
 }
 

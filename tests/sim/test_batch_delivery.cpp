@@ -1,11 +1,13 @@
-// Batched delivery (Execution::deliver_run + Process::on_receive_batch):
+// Batched delivery (Execution::deliver_plan_row + Process::on_receive_batch):
 //  * the default on_receive_batch (loop of on_receive) is observationally
 //    identical to the protocols' devirtualized overrides, for every
 //    protocol kind — checked by running the same seeded executions with
 //    the overrides masked behind a forwarding wrapper;
-//  * deliver_run itself matches a receiving_step-per-id loop (up to the
-//    documented end-of-run granularity of Decision step/chain stamps);
-//  * deliver_run edge cases (empty run, retired ids, wrong receiver).
+//  * a descending plan row matches a receiving_step-per-id loop in plan
+//    order (up to the documented end-of-run granularity of Decision
+//    step/chain stamps);
+//  * deliver_plan_row edge cases (empty row, repeated row, already
+//    delivered ids, crashed receiver).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -118,58 +120,62 @@ TEST(BatchDelivery, OverridesMatchUnderAdversarialOrderAndResets) {
   }
 }
 
-TEST(BatchDelivery, DeliverRunMatchesPerIdReceivingSteps) {
+TEST(BatchDelivery, DescendingRowMatchesPerIdReceivingSteps) {
   const int n = 8;
   const int t = 1;
   Execution batched = make_exec(ProtocolKind::Reset, n, t, 7, false);
   Execution per_id = make_exec(ProtocolKind::Reset, n, t, 7, false);
-
-  auto send_all = [](Execution& e) {
-    std::vector<MsgId> ids;
-    for (ProcId p = 0; p < e.n(); ++p) {
-      for (MsgId id : e.sending_step(p)) ids.push_back(id);
-    }
-    return ids;
-  };
-  const std::vector<MsgId> ids_a = send_all(batched);
-  const std::vector<MsgId> ids_b = send_all(per_id);
-  ASSERT_EQ(ids_a, ids_b);
-
-  // Deliver receiver 3's messages: one deliver_run vs one receiving_step
-  // per id, same order.
-  std::vector<MsgId> to3;
-  for (MsgId id : ids_a) {
-    if (batched.buffer().get(id).receiver == 3) to3.push_back(id);
+  for (Execution* e : {&batched, &per_id}) {
+    e->begin_window_batch();
+    for (ProcId p = 0; p < n; ++p) e->sending_step(p);
   }
-  ASSERT_FALSE(to3.empty());
-  const int delivered = batched.deliver_run(3, to3);
-  EXPECT_EQ(delivered, static_cast<int>(to3.size()));
-  for (MsgId id : to3) per_id.receiving_step(id);
+  ASSERT_EQ(batched.window_batch().ids().size(),
+            per_id.window_batch().ids().size());
+
+  // Deliver receiver 3's messages in descending sender order: one
+  // deliver_plan_row vs one receiving_step per id, same order.
+  std::vector<ProcId> descending;
+  for (ProcId s = n - 1; s >= 0; --s) descending.push_back(s);
+  std::size_t expected = 0;
+  const WindowBatch batch = per_id.window_batch();
+  for (ProcId s : descending) {
+    for (MsgId id : batch.from_to(s, 3)) {
+      per_id.receiving_step(id);
+      ++expected;
+    }
+  }
+  ASSERT_GT(expected, 0u);
+  EXPECT_EQ(batched.deliver_plan_row(3, descending),
+            static_cast<int>(expected));
   expect_same_state(batched, per_id);
 
-  // Every id in the run is now retired: a second run is a no-op.
-  EXPECT_EQ(batched.deliver_run(3, to3), 0);
+  // Every message in the run is now retired: a second call is a no-op.
+  EXPECT_EQ(batched.deliver_plan_row(3, descending), 0);
+  expect_same_state(batched, per_id);
 }
 
-TEST(BatchDelivery, DeliverRunEdgeCases) {
+TEST(BatchDelivery, DeliverPlanRowEdgeCases) {
   const int n = 8;
   const int t = 1;
   Execution e = make_exec(ProtocolKind::Reset, n, t, 9, false);
-  std::vector<MsgId> batch;
-  for (ProcId p = 0; p < n; ++p) {
-    for (MsgId id : e.sending_step(p)) batch.push_back(id);
-  }
-  // Empty run: no-op.
-  EXPECT_EQ(e.deliver_run(2, {}), 0);
-  // A run containing another receiver's message is a driver bug, and the
-  // rejection happens BEFORE the message is consumed.
-  std::vector<MsgId> to0{batch[0]};  // proc 0's first message goes to 0
-  ASSERT_EQ(e.buffer().get(batch[0]).receiver, 0);
-  EXPECT_THROW(e.deliver_run(1, to0), std::logic_error);
-  EXPECT_TRUE(e.buffer().is_pending(batch[0]));
-  // Delivery to a crashed receiver is a driver bug.
+  e.begin_window_batch();
+  for (ProcId p = 0; p < n; ++p) e.sending_step(p);
+  // Empty row: no-op.
+  EXPECT_EQ(e.deliver_plan_row(2, {}), 0);
+  EXPECT_EQ(e.buffer().delivered_count(), 0u);
+  // An id already delivered per-id leaves the run; the rest of the row
+  // still delivers, in plan order, exactly once.
+  const std::vector<ProcId> row{5, 1, 7, 0, 2, 3, 4, 6};
+  const MsgId taken = e.window_batch().from_to(7, 2)[0];
+  e.receiving_step(taken);
+  EXPECT_EQ(e.deliver_plan_row(2, row), n - 1);
+  EXPECT_EQ(e.deliver_plan_row(2, row), 0);
+  // Delivery to a crashed receiver is a driver bug, rejected before any
+  // message is consumed.
+  const std::size_t pending = e.buffer().pending_count();
   e.crash(0);
-  EXPECT_THROW(e.deliver_run(0, to0), std::logic_error);
+  EXPECT_THROW(e.deliver_plan_row(0, row), std::logic_error);
+  EXPECT_EQ(e.buffer().pending_count(), pending);
 }
 
 }  // namespace

@@ -5,11 +5,12 @@
 //    straddle arena recycling boundaries (fragmented free list + growth);
 //  * the epoch-stamped pair counters never leak counts across windows
 //    (stale rows read as empty without any per-window reset);
-//  * deliver_plan_row's whole-list fast path produces bit-identical
-//    decisions and tallies to the per-message receiving_step path for
-//    Fair / Silencer / SplitKeeper at n = 32;
-//  * a crash mid-window and adversarially (non-ascending) ordered rows
-//    force the slow path, whose delivery ORDER is the plan order.
+//  * deliver_plan_row's list walk produces bit-identical decisions and
+//    tallies to the per-message receiving_step path for Fair / Silencer /
+//    SplitKeeper at n = 32;
+//  * under a crash mid-window, adversarially (non-ascending) ordered rows,
+//    and senders that publish out of id order, the delivery ORDER is the
+//    plan order.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -147,8 +148,8 @@ TEST(AddBatch, EmptyRunAndBadReceiverAreAtomic) {
 TEST(AddBatch, LiveSlotsStayBoundedAcross5kBatchedWindows) {
   // The arena bounded-slots regression, driven through the batched
   // pipeline end to end: add_batch publication + whole-list fast-path
-  // delivery (fair ⇒ every receiver takes the splice) + lazy-parked slots
-  // recycled by the window sweep. Memory must stay one window's burst.
+  // delivery (fair ⇒ every receiver takes the unfiltered walk) + slots
+  // recycled at delivery time. Memory must stay one window's burst.
   const int n = 16;
   const int t = 2;
   Execution e(protocols::make_processes(ProtocolKind::Reset, t,
@@ -290,7 +291,7 @@ TEST(DeliverPlanRow, FastPathMatchesPerMessagePathAtN32) {
   const int n = 32;
   const int t = 5;
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    // Fair: every row ascending + full cover → whole-list splice.
+    // Fair: every row in publication order + full cover → unfiltered walk.
     {
       Execution fast = make_exec(ProtocolKind::Reset, n, t, seed);
       Execution ref = make_exec(ProtocolKind::Reset, n, t, seed);
@@ -303,7 +304,7 @@ TEST(DeliverPlanRow, FastPathMatchesPerMessagePathAtN32) {
       }
       expect_same_outcome(fast, ref);
     }
-    // Silencer: ascending partial cover → filtered whole-list walk.
+    // Silencer: partial cover in publication order → filtered walk.
     {
       std::vector<ProcId> silenced;
       for (int i = 0; i < t; ++i) silenced.push_back(2 * i);
@@ -318,7 +319,7 @@ TEST(DeliverPlanRow, FastPathMatchesPerMessagePathAtN32) {
       }
       expect_same_outcome(fast, ref);
     }
-    // SplitKeeper: alternating vote order → slow path (gather + deliver_run).
+    // SplitKeeper: alternating vote order → walk + regroup into plan order.
     {
       Execution fast = make_exec(ProtocolKind::Reset, n, t, seed);
       Execution ref = make_exec(ProtocolKind::Reset, n, t, seed);
@@ -335,9 +336,9 @@ TEST(DeliverPlanRow, FastPathMatchesPerMessagePathAtN32) {
 }
 
 TEST(DeliverPlanRow, NonAscendingRowDeliversInPlanOrder) {
-  // A descending row cannot take the whole-list path (list order would
-  // invert the plan order); the slow path must deliver exactly in plan
-  // order — observable through the recorded event sequence.
+  // A descending row inverts the receiver's list order; the run must still
+  // be delivered exactly in plan order — observable through the recorded
+  // event sequence.
   const int n = 6;
   const int t = 1;
   Execution e(protocols::make_processes(ProtocolKind::Reset, t,
@@ -362,6 +363,48 @@ TEST(DeliverPlanRow, NonAscendingRowDeliversInPlanOrder) {
   EXPECT_EQ(seen, expected);  // descending sender blocks, not id order
 }
 
+TEST(DeliverPlanRow, SendersPublishingOutOfIdOrderDeliverInPlanOrder) {
+  // The receiver's list is in PUBLICATION order, not sender-id order: when
+  // senders publish 7, 6, ..., 0, the id-ascending row {0..7} is the
+  // reverse of list order and must still be delivered in plan order —
+  // checked against a receiving_step-per-id loop in plan order.
+  const int n = 8;
+  const int t = 1;
+  const ExecutionConfig cfg{/*record_events=*/true};
+  auto receive_order = [](const Execution& e) {
+    std::vector<MsgId> seen;
+    for (const Event& ev : e.events()) {
+      if (ev.kind == StepKind::Receive) seen.push_back(ev.msg);
+    }
+    return seen;
+  };
+  std::vector<ProcId> row;
+  for (ProcId s = 0; s < n; ++s) row.push_back(s);
+  Execution fast(protocols::make_processes(ProtocolKind::Reset, t,
+                                           protocols::split_inputs(n, 0.5)),
+                 3, cfg);
+  Execution ref(protocols::make_processes(ProtocolKind::Reset, t,
+                                          protocols::split_inputs(n, 0.5)),
+                3, cfg);
+  for (Execution* e : {&fast, &ref}) {
+    e->begin_window_batch();
+    for (ProcId p = n - 1; p >= 0; --p) e->sending_step(p);
+  }
+  EXPECT_EQ(fast.deliver_plan_row(0, row), n);
+  const WindowBatch batch = ref.window_batch();
+  std::vector<MsgId> expected;
+  for (ProcId s : row) {
+    for (MsgId id : batch.from_to(s, /*r=*/0)) {
+      ref.receiving_step(id);
+      expected.push_back(id);
+    }
+  }
+  ASSERT_EQ(expected.size(), static_cast<std::size_t>(n));
+  EXPECT_EQ(receive_order(fast), expected);
+  EXPECT_EQ(receive_order(ref), expected);
+  expect_same_outcome(fast, ref);
+}
+
 TEST(DeliverPlanRow, CrashMidWindowForcesSlowPathAndStaysExact) {
   // Crash a processor BETWEEN the sending phase and delivery: its
   // published messages stay deliverable, it takes no receiving steps, and
@@ -378,8 +421,8 @@ TEST(DeliverPlanRow, CrashMidWindowForcesSlowPathAndStaysExact) {
     for (ProcId p = 0; p < n; ++p) e.sending_step(p);
     e.crash(crashed);  // mid-window: after publication, before delivery
     const WindowBatch batch = e.window_batch();
-    // Rows: receiver parity picks ascending (fast-eligible) or descending
-    // (slow) so both paths see the crash.
+    // Rows: receiver parity picks ascending (unfiltered walk) or
+    // descending (regrouped run) so both shapes see the crash.
     for (ProcId i = 0; i < n; ++i) {
       if (e.crashed(i)) continue;
       std::vector<ProcId> row;
