@@ -18,7 +18,7 @@
 // the disabled lens non-free) by more than the CI tolerance fails the
 // bench-smoke job.
 //
-// Writes BENCH_l1_latency_lens.json (see bench_json.hpp).
+// Writes BENCH_l1_latency_lens.json (a util::Json document).
 //
 //   ./build/bench/bench_l1_latency_lens [--smoke]
 #include <chrono>
@@ -29,9 +29,9 @@
 #include <vector>
 
 #include "adversary/censor.hpp"
-#include "bench_json.hpp"
 #include "core/api.hpp"
 #include "lens/accountability.hpp"
+#include "util/json.hpp"
 
 using namespace aa;
 
@@ -112,11 +112,11 @@ int main(int argc, char** argv) {
               "per mode%s)\n\n",
               n, t, trials, smoke ? ", smoke" : "");
 
-  bench::BenchJson j("l1_latency_lens");
-  j.set("config.n", n);
-  j.set("config.t", t);
-  j.set("config.trials", trials);
-  j.set("config.smoke", smoke);
+  util::Json j;
+  j["config"]["n"] = n;
+  j["config"]["t"] = t;
+  j["config"]["trials"] = trials;
+  j["config"]["smoke"] = smoke;
 
   const struct {
     AdvKind kind;
@@ -141,11 +141,9 @@ int main(int argc, char** argv) {
                 "overhead %+.1f%%\n",
                 a.name, off.windows_per_sec, on.windows_per_sec,
                 overhead_pct);
-    j.set(std::string(a.name) + ".lens_off_windows_per_sec",
-          off.windows_per_sec);
-    j.set(std::string(a.name) + ".lens_on_windows_per_sec",
-          on.windows_per_sec);
-    j.set(std::string(a.name) + ".overhead_pct", overhead_pct);
+    j[a.name]["lens_off_windows_per_sec"] = off.windows_per_sec;
+    j[a.name]["lens_on_windows_per_sec"] = on.windows_per_sec;
+    j[a.name]["overhead_pct"] = overhead_pct;
     if (a.kind == AdvKind::Fair) {
       fair_off = off.windows_per_sec;
       fair_on = on.windows_per_sec;
@@ -153,8 +151,8 @@ int main(int argc, char** argv) {
   }
 
   // The bench_diff-tracked gate: the disabled lens must stay free.
-  j.set("lens_off_windows_per_sec", fair_off);
-  j.set("lens_on_windows_per_sec", fair_on);
+  j["lens_off_windows_per_sec"] = fair_off;
+  j["lens_on_windows_per_sec"] = fair_on;
 
   const lens::LatencyReport rep = censor_lat.finalize(t);
   const lens::SenderLatency& victim =
@@ -168,11 +166,11 @@ int main(int argc, char** argv) {
     std::printf("%s%d", i ? ", " : "", rep.blamed_censored[i]);
   }
   std::printf("]\n");
-  j.set("censor_fair.target_censorship_score", victim.censorship_score);
-  j.set("censor_fair.blamed_count",
-        static_cast<std::int64_t>(rep.blamed_censored.size()));
+  j["censor_fair"]["target_censorship_score"] = victim.censorship_score;
+  j["censor_fair"]["blamed_count"] = rep.blamed_censored.size();
 
-  const std::string path = j.write();
-  if (!path.empty()) std::printf("wrote %s\n", path.c_str());
+  if (util::write_file_atomic("BENCH_l1_latency_lens.json", j.dump())) {
+    std::printf("wrote BENCH_l1_latency_lens.json\n");
+  }
   return 0;
 }

@@ -12,7 +12,7 @@
 //   2. the buffer alone, driven with a synthetic add / deliver /
 //      end-of-window-drop schedule — the engine's buffer-only ceiling.
 //
-// Writes BENCH_m2_window_horizon.json (see bench_json.hpp).
+// Writes BENCH_m2_window_horizon.json (a util::Json document).
 //
 //   ./build/bench/bench_m2_window_horizon [--smoke]
 #include <chrono>
@@ -21,8 +21,8 @@
 #include <string>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "core/api.hpp"
+#include "util/json.hpp"
 
 using namespace aa;
 
@@ -97,11 +97,11 @@ int main(int argc, char** argv) {
   std::printf("M2: window-horizon throughput (n=%d, t=%d, %lld windows%s)\n\n",
               n, t, static_cast<long long>(windows), smoke ? ", smoke" : "");
 
-  bench::BenchJson j("m2_window_horizon");
-  j.set("config.n", n);
-  j.set("config.t", t);
-  j.set("config.windows", static_cast<std::int64_t>(windows));
-  j.set("config.smoke", smoke);
+  util::Json j;
+  j["config"]["n"] = n;
+  j["config"]["t"] = t;
+  j["config"]["windows"] = windows;
+  j["config"]["smoke"] = smoke;
 
   // ---- engine throughput over the full horizon ---------------------------
   {
@@ -113,16 +113,15 @@ int main(int argc, char** argv) {
                 static_cast<double>(r.deliveries) / r.seconds,
                 static_cast<long long>(r.total_sent), r.slots_early,
                 r.slots_late);
-    j.set("engine_split_keeper.windows_per_sec", windows / r.seconds);
-    j.set("engine_split_keeper.deliveries_per_sec",
-          static_cast<double>(r.deliveries) / r.seconds);
-    j.set("engine_split_keeper.wall_seconds", r.seconds);
-    j.set("engine_split_keeper.total_messages",
-          static_cast<std::int64_t>(r.total_sent));
-    j.set("engine_split_keeper.arena_slots_early", r.slots_early);
-    j.set("engine_split_keeper.arena_slots_late", r.slots_late);
-    j.set("engine_split_keeper.live_memory_flat",
-          r.slots_early == r.slots_late);
+    j["engine_split_keeper"]["windows_per_sec"] = windows / r.seconds;
+    j["engine_split_keeper"]["deliveries_per_sec"] =
+        static_cast<double>(r.deliveries) / r.seconds;
+    j["engine_split_keeper"]["wall_seconds"] = r.seconds;
+    j["engine_split_keeper"]["total_messages"] = r.total_sent;
+    j["engine_split_keeper"]["arena_slots_early"] = r.slots_early;
+    j["engine_split_keeper"]["arena_slots_late"] = r.slots_late;
+    j["engine_split_keeper"]["live_memory_flat"] =
+        r.slots_early == r.slots_late;
   }
   {
     adversary::FairWindowAdversary fair;
@@ -132,13 +131,13 @@ int main(int argc, char** argv) {
                 windows / r.seconds,
                 static_cast<double>(r.deliveries) / r.seconds, r.slots_early,
                 r.slots_late);
-    j.set("engine_fair.windows_per_sec", windows / r.seconds);
-    j.set("engine_fair.deliveries_per_sec",
-          static_cast<double>(r.deliveries) / r.seconds);
-    j.set("engine_fair.wall_seconds", r.seconds);
-    j.set("engine_fair.arena_slots_early", r.slots_early);
-    j.set("engine_fair.arena_slots_late", r.slots_late);
-    j.set("engine_fair.live_memory_flat", r.slots_early == r.slots_late);
+    j["engine_fair"]["windows_per_sec"] = windows / r.seconds;
+    j["engine_fair"]["deliveries_per_sec"] =
+        static_cast<double>(r.deliveries) / r.seconds;
+    j["engine_fair"]["wall_seconds"] = r.seconds;
+    j["engine_fair"]["arena_slots_early"] = r.slots_early;
+    j["engine_fair"]["arena_slots_late"] = r.slots_late;
+    j["engine_fair"]["live_memory_flat"] = r.slots_early == r.slots_late;
   }
 
   // ---- buffer-only ceiling ------------------------------------------------
@@ -150,12 +149,13 @@ int main(int argc, char** argv) {
     std::printf("buffer/arena        : %9.0f windows/s (%zu delivered, "
                 "%zu slots resident)\n",
                 windows / arena_s, delivered, buf.slot_capacity());
-    j.set("buffer_arena.windows_per_sec", windows / arena_s);
-    j.set("buffer_arena.wall_seconds", arena_s);
-    j.set("buffer_arena.slots_resident", buf.slot_capacity());
+    j["buffer_arena"]["windows_per_sec"] = windows / arena_s;
+    j["buffer_arena"]["wall_seconds"] = arena_s;
+    j["buffer_arena"]["slots_resident"] = buf.slot_capacity();
   }
 
-  const std::string path = j.write();
-  if (!path.empty()) std::printf("wrote %s\n", path.c_str());
+  if (util::write_file_atomic("BENCH_m2_window_horizon.json", j.dump())) {
+    std::printf("wrote BENCH_m2_window_horizon.json\n");
+  }
   return 0;
 }

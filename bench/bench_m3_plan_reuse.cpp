@@ -16,7 +16,7 @@
 // reuse_batched degenerates to replan_batched and only the delivery delta
 // shows).
 //
-// Writes BENCH_m3_plan_reuse.json (see bench_json.hpp).
+// Writes BENCH_m3_plan_reuse.json (a util::Json document).
 //
 //   ./build/bench/bench_m3_plan_reuse [--smoke]
 #include <chrono>
@@ -26,8 +26,8 @@
 #include <string>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "core/api.hpp"
+#include "util/json.hpp"
 
 using namespace aa;
 
@@ -104,11 +104,11 @@ int main(int argc, char** argv) {
   std::printf("M3: plan reuse vs replan (n=%d, t=%d, %lld windows%s)\n\n",
               n, t, static_cast<long long>(windows), smoke ? ", smoke" : "");
 
-  bench::BenchJson j("m3_plan_reuse");
-  j.set("config.n", n);
-  j.set("config.t", t);
-  j.set("config.windows", static_cast<std::int64_t>(windows));
-  j.set("config.smoke", smoke);
+  util::Json j;
+  j["config"]["n"] = n;
+  j["config"]["t"] = t;
+  j["config"]["windows"] = windows;
+  j["config"]["smoke"] = smoke;
 
   const struct {
     AdvKind kind;
@@ -123,14 +123,13 @@ int main(int argc, char** argv) {
       std::printf("%-12s %-15s: %9.0f windows/s (%lld deliveries)\n", a.name,
                   mode_key(mode), r.windows_per_sec,
                   static_cast<long long>(r.deliveries));
-      const std::string key =
-          std::string(a.name) + "." + mode_key(mode) + ".windows_per_sec";
-      j.set(key, r.windows_per_sec);
+      j[a.name][mode_key(mode)]["windows_per_sec"] = r.windows_per_sec;
     }
     std::printf("\n");
   }
 
-  const std::string path = j.write();
-  if (!path.empty()) std::printf("wrote %s\n", path.c_str());
+  if (util::write_file_atomic("BENCH_m3_plan_reuse.json", j.dump())) {
+    std::printf("wrote BENCH_m3_plan_reuse.json\n");
+  }
   return 0;
 }

@@ -15,7 +15,7 @@
 //     → slow path). Fast-path vs per-message identity is pinned by
 //     tests/sim/test_send_batch.cpp.
 //
-// Writes BENCH_m4_send_batch.json (see bench_json.hpp).
+// Writes BENCH_m4_send_batch.json (a util::Json document).
 //
 //   ./build/bench/bench_m4_send_batch [--smoke]
 #include <chrono>
@@ -25,8 +25,8 @@
 #include <string>
 #include <vector>
 
-#include "bench_json.hpp"
 #include "core/api.hpp"
+#include "util/json.hpp"
 
 using namespace aa;
 
@@ -123,20 +123,20 @@ int main(int argc, char** argv) {
   std::printf("M4: bulk publication pipeline A/B (n=%d, t=%d, %lld windows%s)\n\n",
               n, t, static_cast<long long>(windows), smoke ? ", smoke" : "");
 
-  bench::BenchJson j("m4_send_batch");
-  j.set("config.n", n);
-  j.set("config.t", t);
-  j.set("config.windows", static_cast<std::int64_t>(windows));
-  j.set("config.smoke", smoke);
+  util::Json j;
+  j["config"]["n"] = n;
+  j["config"]["t"] = t;
+  j["config"]["windows"] = windows;
+  j["config"]["smoke"] = smoke;
 
   const double per_item = publication_per_item(n, windows);
   const double batched = publication_batched(n, windows);
   std::printf("publication  per_item  : %12.0f msgs/s\n", per_item);
   std::printf("publication  add_batch : %12.0f msgs/s\n", batched);
   std::printf("publication  speedup   : %.2fx\n\n", batched / per_item);
-  j.set("publication.per_item.msgs_per_sec", per_item);
-  j.set("publication.batched.msgs_per_sec", batched);
-  j.set("publication.speedup", batched / per_item);
+  j["publication"]["per_item"]["msgs_per_sec"] = per_item;
+  j["publication"]["batched"]["msgs_per_sec"] = batched;
+  j["publication"]["speedup"] = batched / per_item;
 
   const struct {
     AdvKind kind;
@@ -150,11 +150,11 @@ int main(int argc, char** argv) {
     std::printf("%-12s batched     : %9.0f windows/s (%lld deliveries)\n",
                 a.name, fast.windows_per_sec,
                 static_cast<long long>(fast.deliveries));
-    j.set(std::string(a.name) + ".batched.windows_per_sec",
-          fast.windows_per_sec);
+    j[a.name]["batched"]["windows_per_sec"] = fast.windows_per_sec;
   }
 
-  const std::string path = j.write();
-  if (!path.empty()) std::printf("wrote %s\n", path.c_str());
+  if (util::write_file_atomic("BENCH_m4_send_batch.json", j.dump())) {
+    std::printf("wrote BENCH_m4_send_batch.json\n");
+  }
   return 0;
 }

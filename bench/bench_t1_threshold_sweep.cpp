@@ -8,8 +8,8 @@
 #include <cstdio>
 #include <iostream>
 
-#include "bench_json.hpp"
 #include "core/api.hpp"
+#include "util/json.hpp"
 
 using namespace aa;
 
@@ -153,19 +153,20 @@ int main() {
         tp_trials / parallel_s, serial_s / parallel_s,
         identical ? "yes" : "NO");
 
-    bench::BenchJson j("t1_threshold_sweep");
-    j.set("config.n", n);
-    j.set("config.t", t);
-    j.set("config.trials", tp_trials);
-    j.set("config.threads", kPool.resolved_threads());
-    j.set("serial.trials_per_sec", tp_trials / serial_s);
-    j.set("serial.wall_seconds", serial_s);
-    j.set("parallel.trials_per_sec", tp_trials / parallel_s);
-    j.set("parallel.wall_seconds", parallel_s);
-    j.set("parallel_speedup", serial_s / parallel_s);
-    j.set("reports_bit_identical", identical);
-    const std::string path = j.write();
-    if (!path.empty()) std::printf("wrote %s\n", path.c_str());
+    util::Json j;
+    j["config"]["n"] = n;
+    j["config"]["t"] = t;
+    j["config"]["trials"] = tp_trials;
+    j["config"]["threads"] = kPool.resolved_threads();
+    j["serial"]["trials_per_sec"] = tp_trials / serial_s;
+    j["serial"]["wall_seconds"] = serial_s;
+    j["parallel"]["trials_per_sec"] = tp_trials / parallel_s;
+    j["parallel"]["wall_seconds"] = parallel_s;
+    j["parallel_speedup"] = serial_s / parallel_s;
+    j["reports_bit_identical"] = identical;
+    if (util::write_file_atomic("BENCH_t1_threshold_sweep.json", j.dump())) {
+      std::printf("wrote BENCH_t1_threshold_sweep.json\n");
+    }
   }
   return 0;
 }

@@ -12,8 +12,8 @@
 #include <cstdio>
 #include <iostream>
 
-#include "bench_json.hpp"
 #include "core/api.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace aa;
@@ -158,20 +158,21 @@ int main() {
               total, total / serial_s, pool.resolved_threads(),
               total / parallel_s, serial_s / parallel_s);
 
-  bench::BenchJson j("t2_protocol_matrix");
-  j.set("config.n", n);
-  j.set("config.t", t);
-  j.set("config.trials", trials);
-  j.set("config.horizon_windows", horizon);
-  j.set("config.runs", total);
-  j.set("config.threads", pool.resolved_threads());
-  j.set("serial.runs_per_sec", total / serial_s);
-  j.set("serial.wall_seconds", serial_s);
-  j.set("parallel.runs_per_sec", total / parallel_s);
-  j.set("parallel.wall_seconds", parallel_s);
-  j.set("parallel_speedup", serial_s / parallel_s);
-  const std::string json_path = j.write();
-  if (!json_path.empty()) std::printf("wrote %s\n", json_path.c_str());
+  util::Json j;
+  j["config"]["n"] = n;
+  j["config"]["t"] = t;
+  j["config"]["trials"] = trials;
+  j["config"]["horizon_windows"] = horizon;
+  j["config"]["runs"] = total;
+  j["config"]["threads"] = pool.resolved_threads();
+  j["serial"]["runs_per_sec"] = total / serial_s;
+  j["serial"]["wall_seconds"] = serial_s;
+  j["parallel"]["runs_per_sec"] = total / parallel_s;
+  j["parallel"]["wall_seconds"] = parallel_s;
+  j["parallel_speedup"] = serial_s / parallel_s;
+  if (util::write_file_atomic("BENCH_t2_protocol_matrix.json", j.dump())) {
+    std::printf("wrote BENCH_t2_protocol_matrix.json\n");
+  }
   std::printf(
       "Reading: reset-agreement terminates in every row (Theorem 4); the\n"
       "baselines keep SAFETY everywhere but lose liveness under the reset\n"

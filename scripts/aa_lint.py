@@ -25,7 +25,11 @@ across resume/chaos/replay — rests on invariants no compiler checks:
                        per-id deliver_run( / deliver_lazy( delivery path
                        by the one deliver_plan_row / receiving_step
                        pipeline, and advance_window_keep_pending( went
-                       with its last caller.
+                       with its last caller; the hand-written JSON
+                       emitters and scanners — BenchJson and its
+                       bench_json.hpp header, json_kv(, json_find_int(,
+                       write_campaign_json( — by the one util/json
+                       module.
   envelope-member      No raw Envelope* stored in a data member: envelope
                        views are invalidated by publication and window
                        sweeps (the buffer.hpp contract), so a held pointer
@@ -34,8 +38,8 @@ across resume/chaos/replay — rests on invariants no compiler checks:
                        keys on.
   file-write           Every file-writing call site (std::ofstream,
                        std::fstream, fopen) must route through the atomic
-                       writers (core::write_file_atomic / bench_json's
-                       write) so a SIGKILL never leaves a torn artifact.
+                       writer, util::write_file_atomic, so a SIGKILL never
+                       leaves a torn artifact.
                        std::ifstream (read-only) is always fine.
   idmap-erase          No direct MsgIdMap::erase outside sim/buffer.cpp.
                        Since the window-mode retirement PR the straggler
@@ -124,6 +128,9 @@ RULES = [
             r"|\bThreadPool\b"
             r"|\b(?:deliver_lazy|deliver_run|advance_window_keep_pending)"
             r"\s*\("
+            r"|\bBenchJson\b"
+            r"|\b(?:json_kv(?:_int|_double)?|json_find_(?:int|seeds)"
+            r"|write_campaign_json)\s*\("
         ),
         dirs=("src/", "tools/", "examples/", "bench/"),
         allow=(),
@@ -132,8 +139,11 @@ RULES = [
             "became Experiment + Runner; the FIFO thread pool became "
             "WorkStealingPool; deliver_run(/deliver_lazy( became the one "
             "deliver_plan_row/receiving_step delivery pipeline; "
-            "advance_window_keep_pending( has no replacement",
-        directive=re.compile(r"#\s*include\s*[<\"]core/harness\.hpp[>\"]"),
+            "advance_window_keep_pending( has no replacement; BenchJson, "
+            "json_kv*(, json_find_*( and write_campaign_json( became the "
+            "one util/json writer, reader and atomic write",
+        directive=re.compile(
+            r"#\s*include\s*[<\"](?:core/harness|bench_json)\.hpp[>\"]"),
     ),
     Rule(
         name="envelope-member",
@@ -160,8 +170,8 @@ RULES = [
         ),
         dirs=("src/", "tools/", "bench/", "examples/"),
         allow=(),
-        why="file writes must go through write_file_atomic / "
-            "bench_json::write (crash-safe temp+rename)",
+        why="file writes must go through util::write_file_atomic "
+            "(crash-safe temp+rename)",
     ),
     Rule(
         name="idmap-erase",

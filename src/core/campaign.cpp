@@ -2,15 +2,12 @@
 
 #include <cctype>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
-#include <system_error>
+#include <string_view>
 #include <utility>
 
 #include "adversary/async_adversaries.hpp"
@@ -20,6 +17,7 @@
 #include "core/checker.hpp"
 #include "lens/accountability.hpp"
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace aa::core {
 
@@ -250,125 +248,76 @@ AsyncAdversaryFactory cell_async_factory(const CampaignConfig& config,
   return f;
 }
 
-// ------------------------------------------------------------- JSON bits
+// ------------------------------------------------------------- artifacts
 
-void json_kv(std::string& out, const char* key, const std::string& value,
-             bool last = false) {
-  out += "  \"";
-  out += key;
-  out += "\": \"";
-  out += value;
-  out += last ? "\"\n" : "\",\n";
+const char* model_name(CampaignModel model) {
+  return model == CampaignModel::kWindow ? "window" : "async";
 }
 
-void json_kv_int(std::string& out, const char* key, long long value,
-                 bool last = false) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%lld", value);
-  out += "  \"";
-  out += key;
-  out += "\": ";
-  out += buf;
-  out += last ? "\n" : ",\n";
+/// The report fields every cell and summary document ends with.
+void add_report_fields(util::Json& doc, const MeasureOneReport& rep) {
+  doc["trials"] = rep.trials;
+  doc["agreement_violations"] = rep.agreement_violations;
+  doc["validity_violations"] = rep.validity_violations;
+  doc["decided_runs"] = rep.decided_runs;
+  doc["all_decided_runs"] = rep.all_decided_runs;
+  doc["mean_windows_to_first"] = rep.mean_windows_to_first;
+  doc["mean_chain_at_decision"] = rep.mean_chain_at_decision;
+  util::Json& seeds = doc["violating_seeds"] = util::Json::array();
+  for (const std::uint64_t seed : rep.violating_seeds) seeds.push(seed);
 }
 
-void json_kv_double(std::string& out, const char* key, double value,
-                    bool last = false) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  out += "  \"";
-  out += key;
-  out += "\": ";
-  out += buf;
-  out += last ? "\n" : ",\n";
+/// <output_dir>/<name><suffix>: every artifact of a campaign.
+std::string artifact_path(const CampaignConfig& config,
+                          const std::string& suffix) {
+  return (std::filesystem::path(config.output_dir) / (config.name + suffix))
+      .string();
 }
 
-void json_report_fields(std::string& out, const MeasureOneReport& rep) {
-  json_kv_int(out, "trials", rep.trials);
-  json_kv_int(out, "agreement_violations", rep.agreement_violations);
-  json_kv_int(out, "validity_violations", rep.validity_violations);
-  json_kv_int(out, "decided_runs", rep.decided_runs);
-  json_kv_int(out, "all_decided_runs", rep.all_decided_runs);
-  json_kv_double(out, "mean_windows_to_first", rep.mean_windows_to_first);
-  json_kv_double(out, "mean_chain_at_decision", rep.mean_chain_at_decision);
-  out += "  \"violating_seeds\": [";
-  for (std::size_t i = 0; i < rep.violating_seeds.size(); ++i) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%s%" PRIu64, i ? "," : "",
-                  rep.violating_seeds[i]);
-    out += buf;
-  }
-  out += "]\n";
+void write_artifact(const std::string& path, const std::string& body) {
+  AA_REQUIRE(util::write_file_atomic(path, body),
+             "campaign: cannot write " + path);
 }
 
 // ---------------------------------------------------------------- resume
 
-/// Locate `"key":` in a JSON artifact and parse the integer after it.
-/// Returns false on a missing key or malformed number — the caller treats
+/// Read and strictly parse a JSON artifact into `text` / `doc`. False when
+/// the file is missing, empty, truncated or not JSON — the caller treats
 /// the artifact as invalid and recomputes the cell.
-bool json_find_int(const std::string& text, const char* key, long long& out) {
-  const std::string needle = std::string("\"") + key + "\":";
-  const std::size_t pos = text.find(needle);
-  if (pos == std::string::npos) return false;
-  const char* begin = text.c_str() + pos + needle.size();
-  char* end = nullptr;
-  const long long v = std::strtoll(begin, &end, 10);
-  if (end == begin) return false;
-  out = v;
-  return true;
+bool read_artifact(const std::string& path, std::string& text,
+                   std::optional<util::Json>& doc) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.good()) return false;
+  std::stringstream ss;
+  ss << in.rdbuf();
+  text = ss.str();
+  doc = util::Json::parse(text);
+  return doc.has_value();
 }
 
-/// Parse the `violating_seeds` array. Returns false if the array is absent
-/// or the file is truncated before the closing bracket.
-bool json_find_seeds(const std::string& text, std::vector<std::uint64_t>& out) {
-  static constexpr const char kNeedle[] = "\"violating_seeds\": [";
-  const std::size_t pos = text.find(kNeedle);
-  if (pos == std::string::npos) return false;
-  const char* p = text.c_str() + pos + (sizeof kNeedle - 1);
-  out.clear();
-  while (*p != ']') {
-    if (*p == '\0') return false;  // truncated artifact
-    if (*p == ',') ++p;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(p, &end, 10);
-    if (end == p) return false;
-    out.push_back(static_cast<std::uint64_t>(v));
-    p = end;
-  }
-  return true;
+std::optional<std::int64_t> int_member(const util::Json& doc,
+                                       std::string_view key) {
+  const util::Json* v = doc.find(key);
+  return v != nullptr ? v->as_int() : std::nullopt;
 }
 
 /// Structural validity check for a cell's lens sidecar. The lens report is
 /// not resumable from its artifact (LatencyAccumulator has no restore), so
 /// resume can only accept a cell whose sidecar is already complete and
-/// belongs to THIS cell: the file must exist, parse far enough to yield the
-/// identity keys, match the cell's (n, t) and the config's trial count, and
-/// end in the closing brace latency_report_json always emits — a truncated
-/// write dies on that check. Anything else forces a recompute, which
+/// belongs to THIS cell: the file must parse (a truncated write does not),
+/// match the cell's (n, t) and the config's trial count, and carry one
+/// senders row per process. Anything else forces a recompute, which
 /// rewrites the sidecar before the cell artifact.
 bool lens_sidecar_valid(const CampaignConfig& config, const CampaignCell& cell,
                         const std::string& lens_path) {
-  std::ifstream in(lens_path, std::ios::binary);
-  if (!in.good()) return false;
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-  std::size_t end = text.size();
-  while (end > 0 && std::isspace(static_cast<unsigned char>(text[end - 1]))) {
-    --end;
-  }
-  if (end == 0 || text[end - 1] != '}') return false;  // empty or truncated
-  long long n = 0;
-  long long t = 0;
-  long long trials = 0;
-  if (!json_find_int(text, "n", n) || !json_find_int(text, "t", t) ||
-      !json_find_int(text, "trials", trials)) {
-    return false;
-  }
-  if (text.find("\"senders\"") == std::string::npos) return false;
-  return n == static_cast<long long>(cell.n) &&
-         t == static_cast<long long>(cell.t) &&
-         trials == static_cast<long long>(config.trials);
+  std::string text;
+  std::optional<util::Json> doc;
+  if (!read_artifact(lens_path, text, doc)) return false;
+  const util::Json* senders = doc->find("senders");
+  return senders != nullptr && senders->kind() == util::Json::Kind::kArray &&
+         senders->items().size() == static_cast<std::size_t>(cell.n) &&
+         int_member(*doc, "n") == cell.n && int_member(*doc, "t") == cell.t &&
+         int_member(*doc, "trials") == config.trials;
 }
 
 /// Restore `cell` from an existing artifact at `path`. The artifact is
@@ -389,34 +338,35 @@ bool try_resume_cell(const CampaignConfig& config, CampaignCell& cell,
   if (!lens_path.empty() && !lens_sidecar_valid(config, cell, lens_path)) {
     return false;
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return false;
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string text = ss.str();
-
-  long long trials = 0;
-  long long agreement = 0;
-  long long validity = 0;
-  long long decided = 0;
-  long long all_decided = 0;
-  long long metric_sum = 0;
-  std::vector<std::uint64_t> seeds;
-  if (!json_find_int(text, "trials", trials) ||
-      !json_find_int(text, "agreement_violations", agreement) ||
-      !json_find_int(text, "validity_violations", validity) ||
-      !json_find_int(text, "decided_runs", decided) ||
-      !json_find_int(text, "all_decided_runs", all_decided) ||
-      !json_find_int(text, "metric_sum", metric_sum) ||
-      !json_find_seeds(text, seeds)) {
+  std::string text;
+  std::optional<util::Json> doc;
+  if (!read_artifact(path, text, doc)) return false;
+  // The exact tallies, in MeasureOneAccumulator::restore's argument order.
+  static constexpr const char* kTallies[] = {
+      "trials",       "agreement_violations", "validity_violations",
+      "decided_runs", "all_decided_runs",     "metric_sum"};
+  std::int64_t tally[std::size(kTallies)] = {};
+  for (std::size_t i = 0; i < std::size(kTallies); ++i) {
+    const std::optional<std::int64_t> v = int_member(*doc, kTallies[i]);
+    if (!v) return false;
+    tally[i] = *v;
+  }
+  const util::Json* seeds_doc = doc->find("violating_seeds");
+  if (tally[0] != config.trials || seeds_doc == nullptr ||
+      seeds_doc->kind() != util::Json::Kind::kArray) {
     return false;
   }
-  if (trials != static_cast<long long>(config.trials)) return false;
+  std::vector<std::uint64_t> seeds;
+  for (const util::Json& seed : seeds_doc->items()) {
+    const std::optional<std::uint64_t> v = seed.as_uint();
+    if (!v) return false;
+    seeds.push_back(*v);
+  }
 
   MeasureOneAccumulator acc;
-  acc.restore(trials, agreement, validity, decided, all_decided, metric_sum,
+  acc.restore(tally[0], tally[1], tally[2], tally[3], tally[4], tally[5],
               seeds);
-  cell.metric_sum = metric_sum;
+  cell.metric_sum = tally[5];
   cell.report = acc.finalize(config.model == CampaignModel::kAsync);
   if (campaign_cell_json(config, cell) != text) {
     cell.report = MeasureOneReport{};
@@ -426,20 +376,6 @@ bool try_resume_cell(const CampaignConfig& config, CampaignCell& cell,
   acc_out = std::move(acc);
   cell.resumed = true;
   return true;
-}
-
-std::string cell_file_path(const CampaignConfig& config, int index) {
-  namespace fs = std::filesystem;
-  return (fs::path(config.output_dir) /
-          (config.name + "_cell_" + std::to_string(index) + ".json"))
-      .string();
-}
-
-std::string lens_file_path(const CampaignConfig& config, int index) {
-  namespace fs = std::filesystem;
-  return (fs::path(config.output_dir) /
-          (config.name + "_cell_" + std::to_string(index) + "_lens.json"))
-      .string();
 }
 
 }  // namespace
@@ -635,14 +571,30 @@ bool compute_cell(const CampaignConfig& config, CampaignContext& ctx,
     // Lens artifact FIRST: resume keys on the cell artifact, so a cell
     // artifact on disk implies its lens sidecar landed too.
     if (!w.lens_path.empty()) {
-      write_file_atomic(w.lens_path,
-                        latency_report_json(w.cell.lens_report));
+      write_artifact(w.lens_path, latency_report_json(w.cell.lens_report));
     }
   }
   if (!w.path.empty()) {
-    write_file_atomic(w.path, campaign_cell_json(config, w.cell));
+    write_artifact(w.path, campaign_cell_json(config, w.cell));
   }
   return true;
+}
+
+/// Run `work` (a resume attempt or a compute; returns whether the cell is
+/// done) under a stopwatch. The cell's wall_ms and, once done, its
+/// trials_per_s feed only the timing sidecar (campaign_timing_json).
+template <class Work>
+bool timed_cell(CellWork& w, int trials, Work&& work) {
+  // aa-lint: clock-ok(throughput metric, sidecar-only output)
+  const auto t0 = std::chrono::steady_clock::now();
+  const bool done = work();
+  // aa-lint: clock-ok(throughput metric, sidecar-only output)
+  const auto t1 = std::chrono::steady_clock::now();
+  w.cell.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
+  if (done && w.cell.wall_ms > 0.0) {
+    w.cell.trials_per_s = static_cast<double>(trials) * 1000.0 / w.cell.wall_ms;
+  }
+  return done;
 }
 
 }  // namespace
@@ -706,8 +658,11 @@ CampaignResult run_campaign(const CampaignConfig& config,
 
                 w.chaos = chaos_plan_preset(config, plan_name);
                 if (writing) {
-                  w.path = cell_file_path(config, index);
-                  if (config.lens) w.lens_path = lens_file_path(config, index);
+                  const std::string cell = "_cell_" + std::to_string(index);
+                  w.path = artifact_path(config, cell + ".json");
+                  if (config.lens) {
+                    w.lens_path = artifact_path(config, cell + "_lens.json");
+                  }
                 }
                 work.push_back(std::move(w));
                 ++index;
@@ -723,19 +678,9 @@ CampaignResult run_campaign(const CampaignConfig& config,
   // into their slots before any compute is scheduled.
   if (config.resume && writing) {
     for (CellWork& w : work) {
-      // aa-lint: clock-ok(throughput metric, sidecar-only output)
-      const auto t0 = std::chrono::steady_clock::now();
-      if (try_resume_cell(config, w.cell, w.path, w.lens_path, w.acc)) {
-        w.done = true;
-        // aa-lint: clock-ok(throughput metric, sidecar-only output)
-        const auto t1 = std::chrono::steady_clock::now();
-        w.cell.wall_ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        if (w.cell.wall_ms > 0.0) {
-          w.cell.trials_per_s =
-              static_cast<double>(config.trials) * 1000.0 / w.cell.wall_ms;
-        }
-      }
+      w.done = timed_cell(w, config.trials, [&] {
+        return try_resume_cell(config, w.cell, w.path, w.lens_path, w.acc);
+      });
     }
   }
 
@@ -751,17 +696,9 @@ CampaignResult run_campaign(const CampaignConfig& config,
     for (CellWork& w : work) {
       if (w.done) continue;
       group.submit([&config, &ctx, &w] {
-        // aa-lint: clock-ok(throughput metric, sidecar-only output)
-        const auto t0 = std::chrono::steady_clock::now();
-        w.done = compute_cell(config, ctx, w, /*inline_trials=*/true);
-        // aa-lint: clock-ok(throughput metric, sidecar-only output)
-        const auto t1 = std::chrono::steady_clock::now();
-        w.cell.wall_ms =
-            std::chrono::duration<double, std::milli>(t1 - t0).count();
-        if (w.done && w.cell.wall_ms > 0.0) {
-          w.cell.trials_per_s =
-              static_cast<double>(config.trials) * 1000.0 / w.cell.wall_ms;
-        }
+        w.done = timed_cell(w, config.trials, [&] {
+          return compute_cell(config, ctx, w, /*inline_trials=*/true);
+        });
       });
     }
     group.wait();
@@ -770,29 +707,23 @@ CampaignResult run_campaign(const CampaignConfig& config,
     CancelToken& cancel = ctx.cancel_token();
     for (CellWork& w : work) {
       if (w.done) continue;
-      // aa-lint: clock-ok(throughput metric, sidecar-only output)
-      const auto t0 = std::chrono::steady_clock::now();
-      // Up to two attempts — the retry doubles the watchdog deadline, so a
-      // cell that merely straddled the timeout still lands (the recompute
-      // is deterministic, only the wall clock differs).
-      for (int attempt = 0; attempt < 2 && !w.done; ++attempt) {
-        cancel.reset();
-        if (config.cell_timeout_ms > 0) {
-          watchdog.arm(cancel, std::chrono::milliseconds(
-                                   config.cell_timeout_ms << attempt));
+      w.done = timed_cell(w, config.trials, [&] {
+        // Up to two attempts — the retry doubles the watchdog deadline, so
+        // a cell that merely straddled the timeout still lands (the
+        // recompute is deterministic, only the wall clock differs).
+        bool done = false;
+        for (int attempt = 0; attempt < 2 && !done; ++attempt) {
+          cancel.reset();
+          if (config.cell_timeout_ms > 0) {
+            watchdog.arm(cancel, std::chrono::milliseconds(
+                                     config.cell_timeout_ms << attempt));
+          }
+          done = compute_cell(config, ctx, w, /*inline_trials=*/false);
+          if (config.cell_timeout_ms > 0) watchdog.disarm();
         }
-        w.done = compute_cell(config, ctx, w, /*inline_trials=*/false);
-        if (config.cell_timeout_ms > 0) watchdog.disarm();
-      }
-      cancel.reset();
-      // aa-lint: clock-ok(throughput metric, sidecar-only output)
-      const auto t1 = std::chrono::steady_clock::now();
-      w.cell.wall_ms =
-          std::chrono::duration<double, std::milli>(t1 - t0).count();
-      if (w.done && w.cell.wall_ms > 0.0) {
-        w.cell.trials_per_s =
-            static_cast<double>(config.trials) * 1000.0 / w.cell.wall_ms;
-      }
+        cancel.reset();
+        return done;
+      });
     }
   }
 
@@ -808,14 +739,10 @@ CampaignResult run_campaign(const CampaignConfig& config,
   result.summary =
       summary.finalize(config.model == CampaignModel::kAsync);
   if (writing) {
-    write_file_atomic((fs::path(config.output_dir) /
-                       (config.name + "_summary.json"))
-                          .string(),
-                      campaign_summary_json(result));
-    write_file_atomic((fs::path(config.output_dir) /
-                       (config.name + "_timing.json"))
-                          .string(),
-                      campaign_timing_json(result));
+    write_artifact(artifact_path(config, "_summary.json"),
+                   campaign_summary_json(result));
+    write_artifact(artifact_path(config, "_timing.json"),
+                   campaign_timing_json(result));
   }
   return result;
 }
@@ -830,54 +757,43 @@ CampaignResult run_campaign(const CampaignConfig& config) {
 
 std::string campaign_cell_json(const CampaignConfig& config,
                                const CampaignCell& cell) {
-  std::string out = "{\n";
-  json_kv(out, "campaign", config.name);
-  json_kv(out, "model",
-          config.model == CampaignModel::kWindow ? "window" : "async");
-  json_kv_int(out, "cell", cell.index);
-  json_kv_int(out, "n", cell.n);
-  json_kv_int(out, "t", cell.t);
-  json_kv(out, "protocol", cell.protocol);
-  json_kv(out, "thresholds", cell.thresholds);
-  json_kv_int(out, "memory_k", cell.memory_k);
-  json_kv(out, "adversary", cell.adversary);
+  util::Json doc;
+  doc["campaign"] = config.name;
+  doc["model"] = model_name(config.model);
+  doc["cell"] = cell.index;
+  doc["n"] = cell.n;
+  doc["t"] = cell.t;
+  doc["protocol"] = cell.protocol;
+  doc["thresholds"] = cell.thresholds;
+  doc["memory_k"] = cell.memory_k;
+  doc["adversary"] = cell.adversary;
   // Lens-era axes appear ONLY when non-default, so pre-axis configs keep
   // byte-identical artifacts (and resume's re-serialization check keeps
   // accepting them).
-  if (cell.chaos_plan != "none") json_kv(out, "chaos_plan", cell.chaos_plan);
-  if (config.censor_target >= 0) {
-    json_kv_int(out, "censor_target", config.censor_target);
-  }
-  json_kv_int(out, "seed0", static_cast<long long>(cell.seed0));
-  json_kv_int(out, "budget", config.budget);
-  json_kv_int(out, "metric_sum", cell.metric_sum);
-  json_report_fields(out, cell.report);
-  out += "}\n";
-  return out;
+  if (cell.chaos_plan != "none") doc["chaos_plan"] = cell.chaos_plan;
+  if (config.censor_target >= 0) doc["censor_target"] = config.censor_target;
+  doc["seed0"] = cell.seed0;
+  doc["budget"] = config.budget;
+  doc["metric_sum"] = cell.metric_sum;
+  add_report_fields(doc, cell.report);
+  return doc.dump();
 }
 
 std::string campaign_summary_json(const CampaignResult& result) {
   const CampaignConfig& config = result.config;
-  std::string out = "{\n";
-  json_kv(out, "campaign", config.name);
-  json_kv(out, "model",
-          config.model == CampaignModel::kWindow ? "window" : "async");
-  json_kv_int(out, "cells", static_cast<long long>(result.cells.size()));
-  json_kv_int(out, "trials_per_cell", config.trials);
-  json_kv_int(out, "budget", config.budget);
-  json_kv_int(out, "seed", static_cast<long long>(config.seed));
-  out += "  \"cells_failed\": [";
-  bool first = true;
+  util::Json doc;
+  doc["campaign"] = config.name;
+  doc["model"] = model_name(config.model);
+  doc["cells"] = result.cells.size();
+  doc["trials_per_cell"] = config.trials;
+  doc["budget"] = config.budget;
+  doc["seed"] = config.seed;
+  util::Json& failed = doc["cells_failed"] = util::Json::array();
   for (const CampaignCell& cell : result.cells) {
-    if (!cell.failed) continue;
-    if (!first) out += ",";
-    out += std::to_string(cell.index);
-    first = false;
+    if (cell.failed) failed.push(cell.index);
   }
-  out += "],\n";
-  json_report_fields(out, result.summary);
-  out += "}\n";
-  return out;
+  add_report_fields(doc, result.summary);
+  return doc.dump();
 }
 
 std::string campaign_timing_json(const CampaignResult& result) {
@@ -886,83 +802,22 @@ std::string campaign_timing_json(const CampaignResult& result) {
   // folding it into the identity surface would break the byte-identical
   // contract (threads 1 vs N diffs, resume's canonical re-serialization
   // check). CI diffs exclude *_timing.json for the same reason.
-  const CampaignConfig& config = result.config;
-  std::string out = "{\n";
-  json_kv(out, "campaign", config.name);
-  json_kv_int(out, "trials_per_cell", config.trials);
+  util::Json doc;
+  doc["campaign"] = result.config.name;
+  doc["trials_per_cell"] = result.config.trials;
   double total_ms = 0.0;
   for (const CampaignCell& cell : result.cells) total_ms += cell.wall_ms;
-  json_kv_double(out, "wall_ms_total", total_ms);
-  out += "  \"cells\": [";
-  for (std::size_t i = 0; i < result.cells.size(); ++i) {
-    const CampaignCell& cell = result.cells[i];
-    char buf[192];
-    std::snprintf(buf, sizeof buf,
-                  "%s\n    {\"cell\": %d, \"wall_ms\": %.3f, "
-                  "\"trials_per_s\": %.1f, \"resumed\": %s, \"failed\": %s}",
-                  i ? "," : "", cell.index, cell.wall_ms, cell.trials_per_s,
-                  cell.resumed ? "true" : "false",
-                  cell.failed ? "true" : "false");
-    out += buf;
-  }
-  out += result.cells.empty() ? "]\n" : "\n  ]\n";
-  out += "}\n";
-  return out;
-}
-
-void write_campaign_json(const CampaignResult& result,
-                         const std::string& dir) {
-  namespace fs = std::filesystem;
-  AA_REQUIRE(!dir.empty(), "write_campaign_json: empty output directory");
-  fs::create_directories(dir);
+  doc["wall_ms_total"] = total_ms;
+  util::Json& rows = doc["cells"] = util::Json::array();
   for (const CampaignCell& cell : result.cells) {
-    if (cell.failed) continue;  // no artifact may masquerade as a result
-    // Lens sidecar first (same ordering contract as run_campaign). A
-    // resumed cell carries no in-memory lens report; its sidecar already
-    // exists from the run that computed it.
-    if (result.config.lens && cell.lens_report.n > 0) {
-      write_file_atomic(
-          (fs::path(dir) / (result.config.name + "_cell_" +
-                            std::to_string(cell.index) + "_lens.json"))
-              .string(),
-          latency_report_json(cell.lens_report));
-    }
-    write_file_atomic((fs::path(dir) / (result.config.name + "_cell_" +
-                                        std::to_string(cell.index) + ".json"))
-                          .string(),
-                      campaign_cell_json(result.config, cell));
+    util::Json& row = rows.push(util::Json::object());
+    row["cell"] = cell.index;
+    row["wall_ms"] = cell.wall_ms;
+    row["trials_per_s"] = cell.trials_per_s;
+    row["resumed"] = cell.resumed;
+    row["failed"] = cell.failed;
   }
-  write_file_atomic(
-      (fs::path(dir) / (result.config.name + "_summary.json")).string(),
-      campaign_summary_json(result));
-  write_file_atomic(
-      (fs::path(dir) / (result.config.name + "_timing.json")).string(),
-      campaign_timing_json(result));
-}
-
-void write_file_atomic(const std::string& path, const std::string& body) {
-  namespace fs = std::filesystem;
-  const std::string tmp = path + ".tmp";
-  bool ok = false;
-  {
-    // aa-lint: write-ok(the atomic-write primitive itself)
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (out.good()) {
-      out << body;
-      out.flush();
-      ok = out.good();
-    }
-  }
-  if (ok) {
-    std::error_code ec;
-    fs::rename(tmp, path, ec);
-    ok = !ec;
-  }
-  if (!ok) {
-    std::error_code ignored;
-    fs::remove(tmp, ignored);
-    AA_REQUIRE(false, "write_file_atomic: cannot write " + path);
-  }
+  return doc.dump();
 }
 
 }  // namespace aa::core

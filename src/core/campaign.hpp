@@ -12,6 +12,11 @@
 // summary both finalize the exactly-associative MeasureOneAccumulator —
 // core/report.hpp).
 //
+// Every artifact (cells, summary, timing and lens sidecars) is a
+// util::Json document written with util::write_file_atomic, and resume
+// reads cells and lens sidecars back with the strict util::Json::parse —
+// one writer, one reader, one atomic write (util/json.hpp).
+//
 // Config files are flat `key = value` text: one key per line, lists
 // comma-separated, `#` starts a comment. See CampaignConfig for the keys
 // and examples/campaign_smoke.cfg for a worked example.
@@ -110,12 +115,13 @@ struct CampaignConfig {
   /// listed in its `cells_failed` array.
   std::int64_t cell_timeout_ms = 0;
   /// Resume a killed sweep (`resume = true` or --resume): a cell whose
-  /// output JSON exists and byte-matches its canonical re-serialization is
-  /// restored (exact tallies) instead of recomputed, so the resumed
-  /// summary is byte-identical to an uninterrupted run's. With the lens
-  /// armed the cell's lens sidecar must ALSO be present, structurally
-  /// complete, and match the cell's (n, t) and trial count — the lens
-  /// numbers are not rebuildable from the cell tallies, so a cell with a
+  /// output JSON exists, parses (util::Json::parse, strict) and
+  /// byte-matches its canonical re-serialization is restored (exact
+  /// tallies) instead of recomputed, so the resumed summary is
+  /// byte-identical to an uninterrupted run's. With the lens armed the
+  /// cell's lens sidecar must ALSO be present, parse, and match the
+  /// cell's (n, t) and trial count — the lens numbers are not
+  /// rebuildable from the cell tallies, so a cell with a
   /// missing/truncated/stale sidecar is recomputed even when its own
   /// artifact byte-matches.
   bool resume = false;
@@ -201,9 +207,10 @@ struct CampaignResult {
 /// schedules whole cells as pool jobs (trials inline) — either way every
 /// cell report, lens artifact, and the summary are byte-identical to the
 /// serial order. With config.output_dir set, every completed cell's JSON
-/// is written ATOMICALLY (temp + rename) as soon as it finishes and the
-/// summary at the end — a SIGKILL mid-sweep leaves only whole-cell
-/// artifacts, which config.resume restores on the next run.
+/// is written ATOMICALLY (util::write_file_atomic: temp + rename) as soon
+/// as it finishes and the summary at the end — a SIGKILL mid-sweep leaves
+/// only whole-cell artifacts, which config.resume restores on the next
+/// run.
 /// config.cell_timeout_ms bounds each cell's wall clock via a watchdog on
 /// ctx.cancel_token().
 [[nodiscard]] CampaignResult run_campaign(const CampaignConfig& config,
@@ -212,11 +219,14 @@ struct CampaignResult {
 /// Convenience: build a context from config.threads / config.chunk_size.
 [[nodiscard]] CampaignResult run_campaign(const CampaignConfig& config);
 
-/// The merged-summary JSON document (stable key order, %.17g doubles) —
-/// what `campaign` writes to <output_dir>/<name>_summary.json.
+/// The merged-summary JSON document (a util::Json dump: stable key order,
+/// %.17g doubles, exact integers, one layout rule — util/json.hpp) — what
+/// run_campaign writes to <output_dir>/<name>_summary.json.
 [[nodiscard]] std::string campaign_summary_json(const CampaignResult& result);
 
-/// One cell's JSON document (same conventions).
+/// One cell's JSON document (same conventions) — <name>_cell_<index>.json.
+/// Resume parses it back with util::Json::parse and accepts it only if
+/// this function re-serializes the restored cell to the same bytes.
 [[nodiscard]] std::string campaign_cell_json(const CampaignConfig& config,
                                              const CampaignCell& cell);
 
@@ -225,17 +235,5 @@ struct CampaignResult {
 /// wall-clock. Kept OUT of the cell/summary artifacts so the byte-identity
 /// surface (threads 1 vs N, fresh vs resumed) stays timing-free.
 [[nodiscard]] std::string campaign_timing_json(const CampaignResult& result);
-
-/// Write one JSON file per cell plus the merged summary under `dir`
-/// (created if missing): <name>_cell_<index>.json, <name>_summary.json.
-/// Every file is written atomically (write_file_atomic). Failed cells get
-/// no artifact (a stale valid artifact must not mask a failed recompute).
-void write_campaign_json(const CampaignResult& result, const std::string& dir);
-
-/// Crash-safe text-file write: stream `body` to `<path>.tmp`, flush, then
-/// rename over `path`. Readers never observe a torn file — they see the
-/// old content or the new content, nothing in between. Throws on I/O
-/// errors (the temp file is removed on failure).
-void write_file_atomic(const std::string& path, const std::string& body);
 
 }  // namespace aa::core

@@ -1,7 +1,8 @@
 #include "core/report.hpp"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "util/json.hpp"
 
 namespace aa::core {
 
@@ -70,79 +71,43 @@ MeasureOneReport MeasureOneAccumulator::finalize(bool async_metric) const {
 
 namespace {
 
-void append_double(std::string& out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-
-void append_hist(std::string& out, const char* key,
-                 std::span<const std::int64_t> hist) {
-  out += "\"";
-  out += key;
-  out += "\": [";
-  for (std::size_t b = 0; b < hist.size(); ++b) {
-    if (b != 0) out += ", ";
-    out += std::to_string(hist[b]);
-  }
-  out += "]";
-}
-
-void append_proc_list(std::string& out, const char* key,
-                      std::span<const sim::ProcId> procs) {
-  out += "  \"";
-  out += key;
-  out += "\": [";
-  for (std::size_t i = 0; i < procs.size(); ++i) {
-    if (i != 0) out += ", ";
-    out += std::to_string(procs[i]);
-  }
-  out += "]";
+template <class Range>
+util::Json int_array(const Range& values) {
+  util::Json out = util::Json::array();
+  for (const auto v : values) out.push(v);
+  return out;
 }
 
 }  // namespace
 
 std::string latency_report_json(const lens::LatencyReport& rep) {
-  std::string out = "{\n";
-  out += "  \"n\": " + std::to_string(rep.n) + ",\n";
-  out += "  \"t\": " + std::to_string(rep.t) + ",\n";
-  out += "  \"trials\": " + std::to_string(rep.trials) + ",\n";
-  out += "  \"deciders\": " + std::to_string(rep.deciders) + ",\n";
-  out += "  \"blame_threshold\": ";
-  append_double(out, rep.blame_threshold);
-  out += ",\n  \"senders\": [\n";
+  util::Json doc;
+  doc["n"] = rep.n;
+  doc["t"] = rep.t;
+  doc["trials"] = rep.trials;
+  doc["deciders"] = rep.deciders;
+  doc["blame_threshold"] = rep.blame_threshold;
+  util::Json& senders = doc["senders"] = util::Json::array();
   for (std::size_t s = 0; s < rep.senders.size(); ++s) {
     const lens::SenderLatency& row = rep.senders[s];
-    out += "    {\"sender\": " + std::to_string(s);
-    out += ", \"sent\": " + std::to_string(row.sent);
-    out += ", \"equivocations\": " + std::to_string(row.equivocations);
-    out += ", \"delivered\": " + std::to_string(row.delivered);
-    out += ", \"suppressed\": " + std::to_string(row.suppressed);
-    out += ", \"confirm_count\": " + std::to_string(row.confirm_count);
-    out += ", \"mean_confirm_windows\": ";
-    append_double(out, row.mean_confirm_windows);
-    out += ", \"mean_confirm_steps\": ";
-    append_double(out, row.mean_confirm_steps);
-    out += ", \"delivered_share\": ";
-    append_double(out, row.delivered_share);
-    out += ", \"confirmed_share\": ";
-    append_double(out, row.confirmed_share);
-    out += ", \"censorship_score\": ";
-    append_double(out, row.censorship_score);
-    out += ", ";
-    append_hist(out, "delivery_hist", row.delivery_hist);
-    out += ", ";
-    append_hist(out, "confirm_hist", row.confirm_hist);
-    out += "}";
-    if (s + 1 != rep.senders.size()) out += ",";
-    out += "\n";
+    util::Json& out = senders.push(util::Json::object());
+    out["sender"] = s;
+    out["sent"] = row.sent;
+    out["equivocations"] = row.equivocations;
+    out["delivered"] = row.delivered;
+    out["suppressed"] = row.suppressed;
+    out["confirm_count"] = row.confirm_count;
+    out["mean_confirm_windows"] = row.mean_confirm_windows;
+    out["mean_confirm_steps"] = row.mean_confirm_steps;
+    out["delivered_share"] = row.delivered_share;
+    out["confirmed_share"] = row.confirmed_share;
+    out["censorship_score"] = row.censorship_score;
+    out["delivery_hist"] = int_array(row.delivery_hist);
+    out["confirm_hist"] = int_array(row.confirm_hist);
   }
-  out += "  ],\n";
-  append_proc_list(out, "blamed_equivocators", rep.blamed_equivocators);
-  out += ",\n";
-  append_proc_list(out, "blamed_censored", rep.blamed_censored);
-  out += "\n}\n";
-  return out;
+  doc["blamed_equivocators"] = int_array(rep.blamed_equivocators);
+  doc["blamed_censored"] = int_array(rep.blamed_censored);
+  return doc.dump();
 }
 
 }  // namespace aa::core

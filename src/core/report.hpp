@@ -105,12 +105,12 @@ class MeasureOneAccumulator {
   std::vector<std::uint64_t> violating_seeds_;  ///< unordered until finalize
 };
 
-/// Render a finalized lens report (lens/accountability.hpp) as JSON with
-/// the campaign artifacts' serialization discipline: fixed key order,
-/// %.17g doubles (round-trip exact), newline-terminated. Two reports with
-/// the same tallies therefore serialize to the same bytes — the string is
-/// directly comparable in bit-identity tests and safe to hand to
-/// write_file_atomic.
+/// Render a finalized lens report (lens/accountability.hpp) as a
+/// util::Json document (util/json.hpp: fixed key order, %.17g doubles,
+/// one layout rule). Two reports with the same tallies therefore
+/// serialize to the same bytes — the string is directly comparable in
+/// bit-identity tests, safe to hand to util::write_file_atomic, and read
+/// back by Json::parse when campaign resume validates a lens sidecar.
 [[nodiscard]] std::string latency_report_json(const lens::LatencyReport& rep);
 
 }  // namespace aa::core

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <iterator>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 #include "core/campaign.hpp"
 #include "core/checker.hpp"
 #include "protocols/factory.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 namespace aa::core {
@@ -268,6 +270,62 @@ TEST(Campaign, TimingSidecarCoversEveryCellAndStaysOutOfReports) {
   EXPECT_FALSE(cell0.empty());
   EXPECT_EQ(cell0.find("wall_ms"), std::string::npos);
 
+  fs::remove_all(dir);
+}
+
+// ---- artifact escaping -----------------------------------------------------
+
+TEST(Campaign, NameWithQuoteAndBackslashWritesParseableArtifactsThatResume) {
+  // The config parser accepts any name; every artifact must still be valid
+  // JSON carrying the name verbatim, and resume must restore from it.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() / "aa_campaign_escape";
+  fs::remove_all(dir);
+  CampaignConfig cfg = parse_campaign_config("name = a\"b\\c\n");
+  ASSERT_EQ(cfg.name, "a\"b\\c");
+  const CampaignConfig shape = tiny_config();
+  cfg.n = shape.n;
+  cfg.t = shape.t;
+  cfg.protocols = shape.protocols;
+  cfg.memory_k = shape.memory_k;
+  cfg.adversaries = shape.adversaries;
+  cfg.trials = shape.trials;
+  cfg.budget = shape.budget;
+  cfg.seed = shape.seed;
+  cfg.chunk_size = shape.chunk_size;
+  cfg.lens = true;
+  cfg.output_dir = dir.string();
+  const CampaignResult result = run_campaign(cfg);
+
+  const auto slurp = [](const fs::path& p) {
+    std::ifstream in(p, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  // cells + lens sidecars + summary + timing
+  const std::size_t want_files = 2 * result.cells.size() + 2;
+  std::size_t files = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    ++files;
+    const std::optional<util::Json> doc = util::Json::parse(slurp(entry));
+    ASSERT_TRUE(doc.has_value()) << entry.path();
+    const bool lens_sidecar =
+        entry.path().string().ends_with("_lens.json");
+    if (lens_sidecar) continue;  // the lens report carries no name
+    const util::Json* name = doc->find("campaign");
+    ASSERT_NE(name, nullptr) << entry.path();
+    EXPECT_EQ(*name, util::Json(cfg.name)) << entry.path();
+  }
+  EXPECT_EQ(files, want_files);
+
+  const fs::path summary = dir / (cfg.name + "_summary.json");
+  const std::string want_summary = slurp(summary);
+  fs::remove(summary);
+  cfg.resume = true;
+  const CampaignResult resumed = run_campaign(cfg);
+  for (const CampaignCell& cell : resumed.cells) {
+    EXPECT_TRUE(cell.resumed) << "cell " << cell.index;
+  }
+  EXPECT_EQ(slurp(summary), want_summary);
   fs::remove_all(dir);
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -7,6 +8,7 @@
 #include <vector>
 
 #include "core/campaign.hpp"
+#include "util/json.hpp"
 
 namespace aa::core {
 namespace {
@@ -124,6 +126,45 @@ TEST(CampaignResume, CorruptOrTruncatedArtifactIsRecomputed) {
   EXPECT_FALSE(resumed.cells[1].resumed);
   EXPECT_EQ(read_file(dir / "resume_summary.json"), want_summary);
   EXPECT_EQ(read_file(dir / "resume_cell_0.json"), want_cell0);
+  fs::remove_all(dir);
+}
+
+TEST(CampaignResume, ViolatingSeedsAbove2To53ResumeByteIdentically) {
+  // Trial seeds span the whole uint64 range. An integer read back through a
+  // double would round 2^53 + 1 to 2^53, and the re-serialization check
+  // would then reject the artifact. Plant violations at seeds above 2^53
+  // (and, in the second pass, above INT64_MAX) and resume the cell.
+  const fs::path dir = fresh_dir("bigseed");
+  for (const std::uint64_t base :
+       {(std::uint64_t{1} << 53) + 1, (std::uint64_t{1} << 63) + 1}) {
+    fs::remove_all(dir);
+    CampaignConfig cfg = two_cell_config(dir.string());
+    cfg.adversaries = {"fair"};
+    cfg.seed = base;
+    const CampaignResult fresh = run_campaign(cfg);
+    ASSERT_EQ(fresh.cells.size(), 1u);
+
+    const std::vector<std::uint64_t> seeds = {base, base + 4};
+    const MeasureOneReport& rep = fresh.cells[0].report;
+    MeasureOneAccumulator acc;
+    acc.restore(rep.trials, 2, 0, rep.decided_runs, rep.all_decided_runs,
+                fresh.cells[0].metric_sum, seeds);
+    CampaignCell planted = fresh.cells[0];
+    planted.report = acc.finalize();
+    const std::string planted_json = campaign_cell_json(cfg, planted);
+    ASSERT_TRUE(util::write_file_atomic((dir / "resume_cell_0.json").string(),
+                                        planted_json));
+    fs::remove(dir / "resume_summary.json");
+
+    cfg.resume = true;
+    const CampaignResult resumed = run_campaign(cfg);
+    EXPECT_TRUE(resumed.cells[0].resumed) << base;
+    EXPECT_EQ(resumed.cells[0].report.violating_seeds, seeds);
+    EXPECT_EQ(resumed.summary.violating_seeds, seeds);
+    EXPECT_EQ(read_file(dir / "resume_cell_0.json"), planted_json);
+    EXPECT_NE(planted_json.find(std::to_string(base + 4)), std::string::npos)
+        << planted_json;
+  }
   fs::remove_all(dir);
 }
 

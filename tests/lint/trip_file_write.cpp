@@ -1,6 +1,6 @@
 // aa_lint self-test fixture: must trip EXACTLY the `file-write` rule.
 // Direct stream writes can be torn by a SIGKILL; artifacts must go
-// through write_file_atomic / bench_json::write.
+// through util::write_file_atomic.
 #include <fstream>
 #include <string>
 
