@@ -8,12 +8,14 @@
 //                            uniformly among messages to live processors.
 //   AsyncSplitKeeper       — the Theorem 17 adversary for forgetful, fully
 //                            communicative protocols: per receiver, delivers
-//                            current-round votes in a value-balanced order,
-//                            keeping every processor's n − t consumed votes
-//                            split below the adoption threshold and forcing
-//                            coin flips round after round. Crash-free (its
-//                            power is pure scheduling), hence trivially
-//                            within any crash budget.
+//                            current-round votes (kVoteKind) in a
+//                            value-balanced order, keeping every processor's
+//                            n − t consumed votes split below the adoption
+//                            threshold and forcing coin flips round after
+//                            round. Crash-free. Ben-Or and Bracha send no
+//                            kVoteKind, so on them it only delivers the
+//                            oldest pending message to the lowest-id live
+//                            receiver: it does not balance anything there.
 //
 // The two random schedulers keep their deliverable set INCREMENTALLY (the
 // async half of the bulk-publication redesign): instead of re-walking every
@@ -112,7 +114,7 @@ class FixedCrashScheduler final : public sim::AsyncAdversary {
   detail::DeliverableSet deliverable_;
 };
 
-/// Theorem 17's scheduling adversary (see class comment above).
+/// Theorem 17's scheduling adversary for kVoteKind protocols (see above).
 /// Stateful: tracks how many votes of each value it has delivered to each
 /// (receiver, round) so it can alternate strictly — the same prefix-balance
 /// the window-model SplitKeeperAdversary enforces. A delivery it returns is

@@ -389,8 +389,6 @@ class MessageBuffer {
   [[nodiscard]] std::size_t dropped_count() const noexcept { return dropped_; }
   [[nodiscard]] int n() const noexcept { return n_; }
 
-  /// Number of live (pending) messages — the arena's working set.
-  [[nodiscard]] std::size_t live_count() const noexcept { return pending_; }
   /// Slots ever materialized — the arena's high-water mark. Stays flat once
   /// the peak live load is reached, no matter how long the run is.
   [[nodiscard]] std::size_t slot_capacity() const noexcept {

@@ -58,26 +58,38 @@ Json::Json(double d) {
   text_.assign(buf, static_cast<std::size_t>(len));
 }
 
+Json::Json(const Json& other)
+    : kind_(other.kind_),
+      text_(other.text_),
+      box_(other.box_ ? std::make_unique<Box>(*other.box_) : nullptr) {}
+
+bool Json::operator==(const Json& other) const {
+  // A box is made by the first push() or key, so it is never empty.
+  return kind_ == other.kind_ && text_ == other.text_ &&
+         (box_ && other.box_ ? *box_ == *other.box_ : box_ == other.box_);
+}
+
 Json& Json::push(Json v) {
   if (kind_ == Kind::kNull) kind_ = Kind::kArray;
   AA_REQUIRE(kind_ == Kind::kArray, "Json::push: not an array");
-  return items_.emplace_back(std::move(v));
+  return box().items.emplace_back(std::move(v));
 }
 
 Json& Json::operator[](std::string_view key) {
   if (kind_ == Kind::kNull) kind_ = Kind::kObject;
   AA_REQUIRE(kind_ == Kind::kObject, "Json::operator[]: not an object");
-  for (std::size_t i = 0; i < keys_.size(); ++i) {
-    if (keys_[i] == key) return items_[i];
+  Box& b = box();
+  for (std::size_t i = 0; i < b.keys.size(); ++i) {
+    if (b.keys[i] == key) return b.items[i];
   }
-  keys_.emplace_back(key);
-  return items_.emplace_back();
+  b.keys.emplace_back(key);
+  return b.items.emplace_back();
 }
 
 const Json* Json::find(std::string_view key) const {
-  if (kind_ != Kind::kObject) return nullptr;
-  for (std::size_t i = 0; i < keys_.size(); ++i) {
-    if (keys_[i] == key) return &items_[i];
+  if (kind_ != Kind::kObject || !box_) return nullptr;
+  for (std::size_t i = 0; i < box_->keys.size(); ++i) {
+    if (box_->keys[i] == key) return &box_->items[i];
   }
   return nullptr;
 }
@@ -101,10 +113,11 @@ void Json::dump_to(std::string& out, int depth) const {
     default: out += text_; return;  // a bool's or number's token
   }
   const bool obj = kind_ == Kind::kObject;
+  const std::span<const Json> items = this->items();
   bool multiline = depth == 0;
-  for (const Json& v : items_) multiline |= v.kind_ == Kind::kObject;
+  for (const Json& v : items) multiline |= v.kind_ == Kind::kObject;
   out += obj ? '{' : '[';
-  for (std::size_t i = 0; i < items_.size(); ++i) {
+  for (std::size_t i = 0; i < items.size(); ++i) {
     if (multiline) {
       out += i == 0 ? "\n" : ",\n";
       out.append(static_cast<std::size_t>(depth + 1) * 2, ' ');
@@ -112,12 +125,12 @@ void Json::dump_to(std::string& out, int depth) const {
       out += ", ";
     }
     if (obj) {
-      append_string(out, keys_[i]);
+      append_string(out, box_->keys[i]);
       out += ": ";
     }
-    items_[i].dump_to(out, depth + 1);
+    items[i].dump_to(out, depth + 1);
   }
-  if (multiline && !items_.empty()) {
+  if (multiline && !items.empty()) {
     out += '\n';
     out.append(static_cast<std::size_t>(depth) * 2, ' ');
   }

@@ -10,11 +10,14 @@
 //
 // A number is held as its canonical token, so integers never pass through
 // a double: trial seeds span the whole uint64 range. An integral double
-// prints without a fraction and so reads back as an integer.
+// prints without a fraction and so reads back as an integer. A container's
+// keys and items live in a separate box, so a scalar node is one token
+// string and a null pointer.
 #pragma once
 
 #include <concepts>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -31,6 +34,10 @@ class Json {
   };  // kInt: fits int64; kUint: above INT64_MAX
 
   Json() = default;  ///< null
+  Json(const Json& other);
+  Json(Json&&) noexcept = default;
+  Json& operator=(const Json& other) { return *this = Json(other); }
+  Json& operator=(Json&&) noexcept = default;
   Json(bool b) : kind_(Kind::kBool), text_(b ? "true" : "false") {}
   template <std::integral I>
     requires(!std::same_as<I, bool>)
@@ -55,12 +62,14 @@ class Json {
   /// The member `key`, or nullptr if this is not an object or lacks it.
   [[nodiscard]] const Json* find(std::string_view key) const;
   /// Array elements or object member values, in order.
-  [[nodiscard]] std::span<const Json> items() const noexcept { return items_; }
+  [[nodiscard]] std::span<const Json> items() const noexcept {
+    return box_ ? std::span<const Json>(box_->items) : std::span<const Json>();
+  }
   [[nodiscard]] std::optional<std::int64_t> as_int() const;
   [[nodiscard]] std::optional<std::uint64_t> as_uint() const;
 
   /// Same kind, value, keys and order.
-  [[nodiscard]] bool operator==(const Json& other) const = default;
+  [[nodiscard]] bool operator==(const Json& other) const;
 
   /// The document text (the layout rule above), newline-terminated.
   [[nodiscard]] std::string dump() const;
@@ -72,13 +81,20 @@ class Json {
   [[nodiscard]] static std::optional<Json> parse(std::string_view text);
 
  private:
+  struct Box {
+    std::vector<std::string> keys;  ///< object keys, parallel to items
+    std::vector<Json> items;        ///< array elements / object values
+    bool operator==(const Box&) const = default;
+  };
+
   explicit Json(Kind k) : kind_(k) {}
+  /// This container's box, made on first use.
+  Box& box() { return box_ ? *box_ : *(box_ = std::make_unique<Box>()); }
   void dump_to(std::string& out, int depth) const;
 
   Kind kind_ = Kind::kNull;
   std::string text_;  ///< a string's value; a bool's or number's token
-  std::vector<std::string> keys_;  ///< object keys, parallel to items_
-  std::vector<Json> items_;        ///< array elements / object values
+  std::unique_ptr<Box> box_;  ///< null for scalars and empty containers
 };
 
 /// Crash-safe file write: `body` goes to `<path>.tmp`, is flushed, then

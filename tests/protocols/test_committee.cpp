@@ -86,7 +86,9 @@ TEST(Committee, ValidityOfDecision) {
   for (int trial = 0; trial < 20; ++trial) {
     const auto out = run_committee_agreement(params(128, 16, false),
                                              unanimous_inputs(128, 1), rng);
-    if (out.success) EXPECT_EQ(out.decision, 1);
+    if (out.success) {
+      EXPECT_EQ(out.decision, 1);
+    }
   }
 }
 

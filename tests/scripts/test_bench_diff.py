@@ -157,27 +157,92 @@ class BenchDiffTest(unittest.TestCase):
         self.assertEqual(code, 0)
         self.assertIn("unusable", out)
 
-    # ---- the lens-off throughput gate ----
+    # ---- the benchmark ledger (scripts/perf_ledger.py) ----
 
-    def write_lens_artifact(self, directory, windows_per_sec):
-        path = directory / "BENCH_l1_latency_lens.json"
-        path.write_text(json.dumps(
-            {"lens_off_windows_per_sec": windows_per_sec}) + "\n")
+    RATIOS = (("campaign-lens", "lens.overhead_ratio"),
+              ("campaign-lens", "core.pool_efficiency"),
+              ("window-adversarial", "sim.adversarial_to_splice_windows_ratio"))
+
+    def ledger(self, trials_per_s=500.0, ratio=0.8, splice=True):
+        """A ledger shaped like perf_ledger.py's: result lines per trace."""
+        def result(metrics):
+            return {"correct": True, "attempted": 100, "failed": 0,
+                    "metrics": {m: {"value": v, "unit": "x"}
+                                for m, v in metrics.items()}}
+        doc = {"host": "nproc=4 compiler=\"g++\" build=Release cpu=\"x\""}
+        if splice:
+            doc["window-splice"] = {
+                "trace0": result({"trials_per_s": trials_per_s}),
+                "trace1": result({"sim.windows_per_s": 20000.0})}
+        for workload, metric in self.RATIOS:
+            entry = doc.setdefault(workload, {
+                "trace0": result({"trials_per_s": 50.0}),
+                "trace1": result({})})
+            entry["trace1"]["metrics"][metric] = {"value": ratio, "unit": "x"}
+        return doc
+
+    def write_ledger(self, directory, name="BENCH_perfbench.json", **kw):
+        path = directory / name
+        path.write_text(json.dumps(self.ledger(**kw), indent=2) + "\n")
         return path
 
-    def test_lens_off_throughput_is_tracked(self):
-        self.assertIn("lens_off_windows_per_sec", bench_diff.TRACKED_METRICS)
-        self.write_lens_artifact(self.previous, 50000.0)
-        self.write_lens_artifact(self.current, 40000.0)  # -20% at 15% tol
+    def test_ledger_window_splice_drop_fails(self):
+        self.assertIn("window-splice.trace0.trials_per_s", bench_diff.GATED)
+        self.assertNotIn("lens_off_windows_per_sec", bench_diff.GATED)
+        self.write_ledger(self.previous, trials_per_s=530.0)
+        self.write_ledger(self.current, trials_per_s=440.0)  # -17% at 15%
         code, out = self.diff()
         self.assertEqual(code, 1)
         self.assertIn("REGRESSION", out)
-        self.assertIn("lens_off_windows_per_sec", out)
+        self.assertIn("window-splice.trace0.trials_per_s", out)
 
-    def test_lens_off_throughput_within_tolerance_passes(self):
-        self.write_lens_artifact(self.previous, 50000.0)
-        self.write_lens_artifact(self.current, 45000.0)  # -10%
+    def test_ledger_window_splice_within_tolerance_passes(self):
+        self.write_ledger(self.previous, trials_per_s=530.0)
+        self.write_ledger(self.current, trials_per_s=480.0)  # -9.4%
         code, out = self.diff()
+        self.assertEqual(code, 0)
+        self.assertIn("within tolerance", out)
+
+    def test_ratio_drop_alone_passes_and_is_printed(self):
+        # The same-run ratios are printed, never gated: halving all three
+        # with the gated rate unchanged must pass.
+        self.write_ledger(self.previous, ratio=0.8)
+        self.write_ledger(self.current, ratio=0.4)
+        code, out = self.diff()
+        self.assertEqual(code, 0)
+        self.assertNotIn("REGRESSION", out)
+        for workload, metric in self.RATIOS:
+            self.assertIn(f"{workload}.trace1.{metric} 0.8000 -> 0.4000 "
+                          f"(not gated)", out)
+
+    def test_truncated_ledger_warns_and_is_skipped(self):
+        self.write_ledger(self.previous)
+        text = json.dumps(self.ledger())
+        (self.current / "BENCH_perfbench.json").write_text(text[:len(text) // 2])
+        code, out = self.diff()
+        self.assertEqual(code, 0)
+        self.assertIn("skipping unreadable", out)
+
+    def test_ledger_without_window_splice_warns_orphaned_gate(self):
+        self.write_ledger(self.previous)
+        self.write_ledger(self.current, splice=False)
+        code, out = self.diff()
+        self.assertEqual(code, 0)
+        self.assertIn("WARNING", out)
+        self.assertIn("metric removed", out)
+        self.assertIn("orphaned keys: window-splice.trace0.trials_per_s", out)
+
+    def test_two_ledger_files_compare_with_each_other(self):
+        # The per-change ledgers at the repo root have different names
+        # (BENCH_17.json, BENCH_18.json); given as files they still pair.
+        prev = self.write_ledger(self.previous, name="BENCH_17.json",
+                                 trials_per_s=530.0)
+        cur = self.write_ledger(self.current, name="BENCH_18.json",
+                                trials_per_s=400.0)
+        code, out = run_diff(["--current", str(cur), "--previous", str(prev)])
+        self.assertEqual(code, 1)
+        self.assertIn("BENCH_18.json: window-splice.trace0.trials_per_s", out)
+        code, out = run_diff(["--current", str(prev), "--previous", str(prev)])
         self.assertEqual(code, 0)
         self.assertIn("within tolerance", out)
 
@@ -209,14 +274,14 @@ class BenchDiffTest(unittest.TestCase):
         self.assertIn("parallel_speedup", out)
 
     def test_orphan_warning_lists_every_lost_key(self):
-        (self.previous / "BENCH_pool.json").write_text(json.dumps(
-            {"parallel_speedup": 4.0,
-             "lens_off_windows_per_sec": 50000.0}) + "\n")
+        doc = self.ledger()
+        doc["parallel_speedup"] = 4.0
+        (self.previous / "BENCH_pool.json").write_text(json.dumps(doc) + "\n")
         (self.current / "BENCH_pool.json").write_text('{"other": 1}\n')
         code, out = self.diff()
         self.assertEqual(code, 0)
-        self.assertIn("lens_off_windows_per_sec", out)
-        self.assertIn("parallel_speedup", out)
+        self.assertIn("parallel_speedup, window-splice.trace0.trials_per_s",
+                      out)
 
     def test_orphan_warning_does_not_mask_regressions(self):
         # Orphans warn, regressions still gate: exit code must stay 1.
@@ -246,12 +311,12 @@ class BenchDiffTest(unittest.TestCase):
         self.assertNotIn("WARNING", out)
 
     def test_both_metrics_gate_independently(self):
-        # One artifact can regress parallel_speedup while another regresses
-        # the lens-off rate; both must be reported.
+        # One artifact can regress parallel_speedup while the ledger
+        # regresses the window-splice rate; both must be reported.
         self.write_artifact(self.previous, "pool", 4.0)
         self.write_artifact(self.current, "pool", 3.0)
-        self.write_lens_artifact(self.previous, 50000.0)
-        self.write_lens_artifact(self.current, 40000.0)
+        self.write_ledger(self.previous, trials_per_s=530.0)
+        self.write_ledger(self.current, trials_per_s=400.0)
         code, out = self.diff()
         self.assertEqual(code, 1)
         self.assertIn("2 metric(s) regressed", out)

@@ -97,6 +97,23 @@ TEST(Json, NestedDocumentRoundTripsInInsertionOrder) {
   EXPECT_NE(swapped, doc);
 }
 
+TEST(Json, CopiesAreDeepAndEqual) {
+  Json doc;
+  doc["list"].push(1);
+  doc["obj"]["k"] = "v";
+  Json copy = doc;
+  EXPECT_EQ(copy, doc);
+  copy["list"].push(2);
+  copy["obj"]["k"] = "w";
+  EXPECT_NE(copy, doc);
+  EXPECT_EQ(doc.dump(), "{\n  \"list\": [1],\n  \"obj\": {\"k\": \"v\"}\n}\n");
+  copy = doc;  // copy assignment over a non-empty value
+  EXPECT_EQ(copy, doc);
+  // An empty container equals one that has held nothing, box or no box.
+  EXPECT_EQ(Json::parse("[]"), Json::array());
+  EXPECT_NE(Json::array(), Json::object());
+}
+
 // ---- the one layout rule ------------------------------------------------------
 
 TEST(Json, LayoutGoldenStrings) {
