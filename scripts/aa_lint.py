@@ -29,7 +29,9 @@ across resume/chaos/replay — rests on invariants no compiler checks:
                        emitters and scanners — BenchJson and its
                        bench_json.hpp header, json_kv(, json_find_int(,
                        write_campaign_json( — by the one util/json
-                       module.
+                       module; and MessageBuffer's straggler hash tier
+                       — MsgIdMap and spill_direct_index( — by its one
+                       dense direct id index.
   envelope-member      No raw Envelope* stored in a data member: envelope
                        views are invalidated by publication and window
                        sweeps (the buffer.hpp contract), so a held pointer
@@ -41,18 +43,11 @@ across resume/chaos/replay — rests on invariants no compiler checks:
                        writer, util::write_file_atomic, so a SIGKILL never
                        leaves a torn artifact.
                        std::ifstream (read-only) is always fine.
-  idmap-erase          No direct MsgIdMap::erase outside sim/buffer.cpp.
-                       Since the window-mode retirement PR the straggler
-                       map holds only ids below direct_base_; every retire
-                       path must erase CONDITIONALLY (id < direct_base_) or
-                       the map/direct-tier partition drifts and the audit
-                       throws. Only the buffer's own retire helpers know
-                       the watermark, so the raw erase is theirs alone.
 
 Waivers: a finding is suppressed when its line (or the line above) carries
     // aa-lint: <rule-waiver>(<reason>)
 with the rule's waiver token — ordered-ok, clock-ok, banned-ok,
-envelope-ok, write-ok, erase-ok — and a non-empty reason. A waiver without
+envelope-ok, write-ok — and a non-empty reason. A waiver without
 a reason is itself an error. Waive sparingly; the reason is reviewed, not
 parsed.
 
@@ -131,6 +126,7 @@ RULES = [
             r"|\bBenchJson\b"
             r"|\b(?:json_kv(?:_int|_double)?|json_find_(?:int|seeds)"
             r"|write_campaign_json)\s*\("
+            r"|\bMsgIdMap\b|\bspill_direct_index\s*\("
         ),
         dirs=("src/", "tools/", "examples/", "bench/"),
         allow=(),
@@ -141,7 +137,8 @@ RULES = [
             "deliver_plan_row/receiving_step delivery pipeline; "
             "advance_window_keep_pending( has no replacement; BenchJson, "
             "json_kv*(, json_find_*( and write_campaign_json( became the "
-            "one util/json writer, reader and atomic write",
+            "one util/json writer, reader and atomic write; MsgIdMap and "
+            "spill_direct_index( became MessageBuffer's one direct id index",
         directive=re.compile(
             r"#\s*include\s*[<\"](?:core/harness|bench_json)\.hpp[>\"]"),
     ),
@@ -172,19 +169,6 @@ RULES = [
         allow=(),
         why="file writes must go through util::write_file_atomic "
             "(crash-safe temp+rename)",
-    ),
-    Rule(
-        name="idmap-erase",
-        waiver="erase-ok",
-        # The straggler map holds only ids below direct_base_; a raw erase
-        # anywhere else cannot know the watermark and desyncs the two-tier
-        # id index. buffer.cpp's retire helpers are the sole owner.
-        pattern=re.compile(r"\bid_map_\s*\.\s*erase\s*\("),
-        dirs=("src/", "tools/", "bench/", "examples/"),
-        allow=("src/sim/buffer.cpp",),
-        why="MsgIdMap::erase is buffer-internal — ids >= direct_base_ are "
-            "not in the map; route retirement through the buffer's "
-            "mark_delivered/mark_dropped/drop_pending_in_window",
     ),
 ]
 

@@ -93,18 +93,8 @@ std::vector<std::string> split_list(const std::string& value) {
 }
 
 long long parse_int(const std::string& value, int line) {
-  std::size_t pos = 0;
-  long long v = 0;
-  bool ok = true;
-  try {
-    v = std::stoll(value, &pos);
-  } catch (...) {
-    ok = false;
-  }
-  AA_REQUIRE(ok && pos == value.size(),
-             "campaign config line " + std::to_string(line) +
-                 ": expected an integer, got '" + value + "'");
-  return v;
+  return parse_config_int(value,
+                          "campaign config line " + std::to_string(line));
 }
 
 double parse_double(const std::string& value, int line) {
@@ -380,6 +370,54 @@ bool try_resume_cell(const CampaignConfig& config, CampaignCell& cell,
 
 }  // namespace
 
+long long parse_config_int(const std::string& value, const std::string& where) {
+  std::size_t pos = 0;
+  long long v = 0;
+  bool ok = true;
+  try {
+    v = std::stoll(value, &pos);
+  } catch (...) {
+    ok = false;
+  }
+  AA_REQUIRE(ok && pos == value.size(),
+             where + ": expected an integer, got '" + value + "'");
+  return v;
+}
+
+void validate_campaign_config(const CampaignConfig& cfg) {
+  AA_REQUIRE(cfg.trials > 0, "campaign config: trials must be positive");
+  AA_REQUIRE(cfg.budget > 0, "campaign config: budget must be positive");
+  AA_REQUIRE(cfg.cell_timeout_ms >= 0,
+             "campaign config: cell_timeout_ms must be non-negative");
+  AA_REQUIRE(cfg.audit_every >= 0,
+             "campaign config: audit_every must be non-negative");
+  AA_REQUIRE(!cfg.n.empty() && !cfg.t.empty() && !cfg.protocols.empty() &&
+                 !cfg.adversaries.empty() && !cfg.thresholds.empty() &&
+                 !cfg.memory_k.empty() && !cfg.chaos_plan.empty(),
+             "campaign config: every sweep axis needs at least one value");
+  sim::validate_fault_plan(cfg.chaos);
+  const bool default_plan =
+      cfg.chaos_plan.size() == 1 && cfg.chaos_plan[0] == "none";
+  AA_REQUIRE(default_plan || !cfg.chaos.enabled(),
+             "campaign config: a chaos_plan axis and enabled chaos_* knobs "
+             "are mutually exclusive (the presets would silently override "
+             "the knobs)");
+  for (const std::string& plan : cfg.chaos_plan) {
+    // Rejects unknown preset names and validates each resolved plan.
+    sim::validate_fault_plan(chaos_plan_preset(cfg, plan));
+  }
+  AA_REQUIRE(!cfg.parallel_cells || cfg.cell_timeout_ms == 0,
+             "campaign config: parallel_cells and cell_timeout_ms are "
+             "mutually exclusive (one watchdog token cannot bound "
+             "concurrent cells)");
+  if (cfg.censor_target >= 0) {
+    for (const int n : cfg.n) {
+      AA_REQUIRE(cfg.censor_target < n,
+                 "campaign config: censor_target must be < every swept n");
+    }
+  }
+}
+
 CampaignConfig parse_campaign_config(const std::string& text) {
   CampaignConfig cfg;
   std::stringstream ss(text);
@@ -478,37 +516,7 @@ CampaignConfig parse_campaign_config(const std::string& text) {
                             ": unknown key '" + key + "'");
     }
   }
-  AA_REQUIRE(cfg.trials > 0, "campaign config: trials must be positive");
-  AA_REQUIRE(cfg.budget > 0, "campaign config: budget must be positive");
-  AA_REQUIRE(cfg.cell_timeout_ms >= 0,
-             "campaign config: cell_timeout_ms must be non-negative");
-  AA_REQUIRE(cfg.audit_every >= 0,
-             "campaign config: audit_every must be non-negative");
-  AA_REQUIRE(!cfg.n.empty() && !cfg.t.empty() && !cfg.protocols.empty() &&
-                 !cfg.adversaries.empty() && !cfg.thresholds.empty() &&
-                 !cfg.memory_k.empty() && !cfg.chaos_plan.empty(),
-             "campaign config: every sweep axis needs at least one value");
-  sim::validate_fault_plan(cfg.chaos);
-  const bool default_plan =
-      cfg.chaos_plan.size() == 1 && cfg.chaos_plan[0] == "none";
-  AA_REQUIRE(default_plan || !cfg.chaos.enabled(),
-             "campaign config: a chaos_plan axis and enabled chaos_* knobs "
-             "are mutually exclusive (the presets would silently override "
-             "the knobs)");
-  for (const std::string& plan : cfg.chaos_plan) {
-    // Rejects unknown preset names and validates each resolved plan.
-    sim::validate_fault_plan(chaos_plan_preset(cfg, plan));
-  }
-  AA_REQUIRE(!cfg.parallel_cells || cfg.cell_timeout_ms == 0,
-             "campaign config: parallel_cells and cell_timeout_ms are "
-             "mutually exclusive (one watchdog token cannot bound "
-             "concurrent cells)");
-  if (cfg.censor_target >= 0) {
-    for (const int n : cfg.n) {
-      AA_REQUIRE(cfg.censor_target < n,
-                 "campaign config: censor_target must be < every swept n");
-    }
-  }
+  validate_campaign_config(cfg);
   return cfg;
 }
 
@@ -602,11 +610,9 @@ bool timed_cell(CellWork& w, int trials, Work&& work) {
 CampaignResult run_campaign(const CampaignConfig& config,
                             CampaignContext& ctx) {
   namespace fs = std::filesystem;
-  // Re-checked here (not just in the parser) because CLI overrides and
-  // programmatic configs can combine the two after parsing.
-  AA_REQUIRE(!config.parallel_cells || config.cell_timeout_ms == 0,
-             "run_campaign: parallel_cells and cell_timeout_ms are "
-             "mutually exclusive");
+  // Re-checked here (not just in the parser): CLI overrides and
+  // programmatic configs change fields after parsing.
+  validate_campaign_config(config);
   CampaignResult result;
   result.config = config;
 

@@ -151,8 +151,23 @@ struct CampaignConfig {
 };
 
 /// Parse config text (`key = value` lines, `#` comments). Unknown keys and
-/// malformed values throw with a line-numbered message.
+/// malformed values throw with a line-numbered message; the parsed config
+/// then passes validate_campaign_config.
 [[nodiscard]] CampaignConfig parse_campaign_config(const std::string& text);
+
+/// The config parser's integer parse: the whole of `value` must be one
+/// integer, else std::invalid_argument with `where` leading the message
+/// (a config line, or a command-line flag that overrides a key).
+[[nodiscard]] long long parse_config_int(const std::string& value,
+                                         const std::string& where);
+
+/// Every check a config must pass before it runs: trials and budget
+/// positive, audit_every and cell_timeout_ms non-negative, every sweep
+/// axis non-empty, valid chaos knobs and presets (and not both),
+/// parallel_cells without cell_timeout_ms, censor_target below every n.
+/// Throws std::invalid_argument. parse_campaign_config and run_campaign
+/// both call it, so a field set after parsing is checked too.
+void validate_campaign_config(const CampaignConfig& cfg);
 
 /// Read and parse a config file.
 [[nodiscard]] CampaignConfig load_campaign_config(const std::string& path);

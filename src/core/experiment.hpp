@@ -201,7 +201,7 @@ class Runner {
   // Same results, bit for bit, as the overloads above — the run executes in
   // `scratch.exec`, rebuilt in place via sim::Execution::reset — but a
   // worker that passes the same scratch every trial skips the per-trial
-  // arena/map/ring growth entirely once warm.
+  // arena/index/ring growth entirely once warm.
 
   [[nodiscard]] WindowRunResult run_window(sim::WindowAdversary& adversary,
                                            std::uint64_t seed,

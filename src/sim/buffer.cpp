@@ -27,7 +27,6 @@ void MessageBuffer::reset(int n) {
   meta_.clear();
   envs_.clear();
   free_head_ = kNoSlot;
-  id_map_.clear();
   next_id_ = 0;
   direct_base_ = 0;
   direct_slots_.clear();
@@ -59,15 +58,15 @@ MsgId MessageBuffer::add_batch(ProcId sender,
                                std::span<const StagedMessage> items,
                                std::int64_t window, std::int64_t chain) {
   AA_REQUIRE(sender >= 0 && sender < n_, "MessageBuffer::add_batch: bad sender");
-  AA_REQUIRE(window >= win_base_,
-             "MessageBuffer::add_batch: window counter moved backwards");
+  AA_REQUIRE(window >= win_base_ + static_cast<std::int64_t>(win_count_) - 1,
+             "MessageBuffer::add_batch: publication into a window older than "
+             "the newest");
   const MsgId first = next_id_;
   if (items.empty()) return first;
   for (const StagedMessage& item : items) {
     AA_REQUIRE(item.to >= 0 && item.to < n_,
                "MessageBuffer::add_batch: bad receiver");
   }
-  if (direct_slots_.size() >= kDirectSpillLimit) spill_direct_index();
   reserve_window(window);
   // The window ring and win_list reference stay stable across the loop
   // (one window, reserved once); the slot arrays may still grow, so all
@@ -117,15 +116,9 @@ MsgId MessageBuffer::add_batch(ProcId sender,
   WinList& wl = win_list(window);
   wl.head = win_head;
   wl.tail = win_prev;
-  // Extend the list's id range; interleaved publication into ANOTHER window
-  // (raw buffer usage only — the engine publishes one window at a time)
-  // breaks contiguity and demotes the range to a conservative bound.
-  if (wl.first_id == kNoMsg) {
-    wl.first_id = first;
-    wl.contiguous = true;
-  } else if (first != wl.last_id + 1) {
-    wl.contiguous = false;
-  }
+  // Extend the list's id range: this is the newest window, so the run
+  // follows its previous ids directly.
+  if (wl.first_id == kNoMsg) wl.first_id = first;
   wl.last_id = next_id_ - 1;
   pending_ += items.size();
   return first;
@@ -133,14 +126,10 @@ MsgId MessageBuffer::add_batch(ProcId sender,
 
 std::int32_t MessageBuffer::slot_of(MsgId id) const {
   AA_REQUIRE(id >= 0 && id < next_id_, "MessageBuffer: bad id");
-  if (id >= direct_base_) {
-    const std::int32_t s =
-        direct_slots_[static_cast<std::size_t>(id - direct_base_)];
-    return meta_[static_cast<std::size_t>(s)].id == id ? s : kNoSlot;
-  }
-  const std::uint32_t s = id_map_.find(id);
-  return s == detail::MsgIdMap::kAbsent ? kNoSlot
-                                        : static_cast<std::int32_t>(s);
+  if (id < direct_base_) return kNoSlot;
+  const std::int32_t s =
+      direct_slots_[static_cast<std::size_t>(id - direct_base_)];
+  return meta_[static_cast<std::size_t>(s)].id == id ? s : kNoSlot;
 }
 
 const Envelope& MessageBuffer::get(MsgId id) const {
@@ -191,8 +180,6 @@ void MessageBuffer::retire(std::int32_t s) {
 
 void MessageBuffer::release(std::int32_t s) {
   const auto si = static_cast<std::size_t>(s);
-  const MsgId id = meta_[si].id;
-  if (id < direct_base_) id_map_.erase(id);
   meta_[si].id = kNoMsg;
   links_[si].next_rcv = free_head_;
   free_head_ = s;
@@ -229,21 +216,6 @@ void MessageBuffer::reserve_window(std::int64_t w) {
   }
 }
 
-void MessageBuffer::spill_direct_index() {
-  if (!direct_slots_.empty()) {
-    id_map_.reserve_extra(pending_);
-    for (std::size_t i = 0; i < direct_slots_.size(); ++i) {
-      const std::int32_t s = direct_slots_[i];
-      const MsgId id = direct_base_ + static_cast<MsgId>(i);
-      if (meta_[static_cast<std::size_t>(s)].id == id) {
-        id_map_.insert_no_grow(id, static_cast<std::uint32_t>(s));
-      }
-    }
-    direct_slots_.clear();
-  }
-  direct_base_ = next_id_;
-}
-
 const Envelope& MessageBuffer::mark_delivered(MsgId id) {
   const std::int32_t s = slot_of(id);
   AA_CHECK(s != kNoSlot, "mark_delivered: message not pending");
@@ -265,9 +237,7 @@ int MessageBuffer::deliver_window_run_to(ProcId receiver, std::int64_t w,
   }
   WinList& wl = win_list(w);
   if (wl.head == kNoSlot) return 0;
-  // Window test: the list's id range when exact, the envelope field as the
-  // cold fallback (only reachable through raw interleaved-window usage).
-  const bool ranged = wl.contiguous;
+  // Window test: the list's id range, exact for pending slots.
   const MsgId lo = wl.first_id;
   const MsgId hi = wl.last_id;
   std::int32_t s = rcv_head_[static_cast<std::size_t>(receiver)];
@@ -279,10 +249,8 @@ int MessageBuffer::deliver_window_run_to(ProcId receiver, std::int64_t w,
     Link& lk = links_[si];
     Meta& mt = meta_[si];
     const std::int32_t next = lk.next_rcv;
-    const bool in_window =
-        ranged ? (mt.id >= lo && mt.id <= hi) : envs_[si].window == w;
     const bool take =
-        in_window &&
+        mt.id >= lo && mt.id <= hi &&
         (sender_stamp == nullptr ||
          sender_stamp[static_cast<std::size_t>(mt.sender)] == epoch);
     if (take) {
@@ -353,10 +321,9 @@ std::size_t MessageBuffer::drop_pending_in_window(std::int64_t w) {
   dropped_ += dropped;
   if (pending_ == 0) {
     // Range retirement: nothing is pending anywhere, so every direct-index
-    // entry is stale and the straggler map is necessarily empty — the whole
-    // id range [direct_base_, next_id_) retires in O(1). In the
-    // acceptable-window regime this fires at EVERY window edge, which is
-    // what removes the per-message hash erases from the steady state.
+    // entry is stale — the whole id range [direct_base_, next_id_) retires
+    // in O(1). In the acceptable-window regime this fires at EVERY window
+    // edge, which keeps the index one window long.
     direct_base_ = next_id_;
     direct_slots_.clear();
   }
@@ -381,9 +348,8 @@ void MessageBuffer::audit() const {
   std::vector<std::uint8_t> state(cap, 0);
 
   // Receiver lists: doubly-linked, acyclic, ascending-id, field-consistent,
-  // and every member resolves through its id tier back to its own slot.
+  // and every member resolves through the direct index back to its slot.
   std::size_t on_rcv_lists = 0;
-  std::size_t mapped_pending = 0;  // pending ids below the direct base
   for (ProcId r = 0; r < n_; ++r) {
     std::int32_t s = rcv_head_[static_cast<std::size_t>(r)];
     std::int32_t prev = kNoSlot;
@@ -413,16 +379,11 @@ void MessageBuffer::audit() const {
                    env.window <
                        win_base_ + static_cast<std::int64_t>(win_count_),
                "audit: pending slot's window outside the live ring");
-      if (mt.id >= direct_base_) {
-        AA_CHECK(direct_slots_[static_cast<std::size_t>(
-                     mt.id - direct_base_)] == s,
-                 "audit: direct index does not resolve a pending id to its "
-                 "slot");
-      } else {
-        AA_CHECK(id_map_.find(mt.id) == static_cast<std::uint32_t>(s),
-                 "audit: id map does not resolve a pending id to its slot");
-        ++mapped_pending;
-      }
+      AA_CHECK(mt.id >= direct_base_,
+               "audit: pending id below the direct-index base");
+      AA_CHECK(direct_slots_[static_cast<std::size_t>(mt.id - direct_base_)] ==
+                   s,
+               "audit: direct index does not resolve a pending id to its slot");
       AA_CHECK(state[si] == 0, "audit: slot reachable from two receiver lists");
       state[si] = 1;
       last_id = mt.id;
@@ -435,22 +396,6 @@ void MessageBuffer::audit() const {
   }
   AA_CHECK(on_rcv_lists == pending_,
            "audit: pending_ counter disagrees with receiver-list population");
-
-  // Straggler map ↔ arena agreement in the other direction: every table
-  // entry is a pending id strictly below the direct base, pointing at the
-  // slot we just confirmed pending under the matching id.
-  AA_CHECK(id_map_.size() == mapped_pending,
-           "audit: id map size disagrees with the below-base pending count");
-  id_map_.for_each([&](MsgId key, std::uint32_t value) {
-    AA_CHECK(static_cast<std::size_t>(value) < cap,
-             "audit: id map entry points outside the slot arena");
-    AA_CHECK(key < direct_base_,
-             "audit: id map entry at or above the direct-index base");
-    AA_CHECK(state[value] == 1,
-             "audit: id map entry points at a slot not on a receiver list");
-    AA_CHECK(meta_[value].id == key,
-             "audit: id map key disagrees with the slot's id");
-  });
 
   // Window lists: doubly-linked, acyclic, ascending-id, window-consistent,
   // ids inside the list's recorded range, and populated by exactly the
@@ -532,27 +477,12 @@ const Envelope& MessageBuffer::PendingIterator::operator*() const {
   return buf_->envs_[static_cast<std::size_t>(cur_)];
 }
 
-void MessageBuffer::PendingIterator::skip_non_matching() {
-  if (sender_ < 0) return;
-  while (cur_ >= 0 &&
-         buf_->meta_[static_cast<std::size_t>(cur_)].sender != sender_) {
-    cur_ = buf_->links_[static_cast<std::size_t>(cur_)].next_rcv;
-  }
-}
-
 void MessageBuffer::PendingIterator::prefetch() {
   if (cur_ < 0) {
     next_ = kNoSlot;
     return;
   }
-  std::int32_t s = buf_->links_[static_cast<std::size_t>(cur_)].next_rcv;
-  if (sender_ >= 0) {
-    while (s >= 0 &&
-           buf_->meta_[static_cast<std::size_t>(s)].sender != sender_) {
-      s = buf_->links_[static_cast<std::size_t>(s)].next_rcv;
-    }
-  }
-  next_ = s;
+  next_ = buf_->links_[static_cast<std::size_t>(cur_)].next_rcv;
 }
 
 const Envelope& MessageBuffer::WindowIterator::operator*() const {
@@ -574,18 +504,8 @@ void MessageBuffer::WindowIterator::prefetch() {
 MessageBuffer::Range<MessageBuffer::PendingIterator> MessageBuffer::pending_to(
     ProcId receiver) const {
   AA_REQUIRE(receiver >= 0 && receiver < n_, "pending_to: bad receiver");
-  return {PendingIterator(this, rcv_head_[static_cast<std::size_t>(receiver)],
-                          -1),
-          PendingIterator(this, kNoSlot, -1)};
-}
-
-MessageBuffer::Range<MessageBuffer::PendingIterator>
-MessageBuffer::pending_from_to(ProcId sender, ProcId receiver) const {
-  AA_REQUIRE(receiver >= 0 && receiver < n_, "pending_from_to: bad receiver");
-  AA_REQUIRE(sender >= 0 && sender < n_, "pending_from_to: bad sender");
-  return {PendingIterator(this, rcv_head_[static_cast<std::size_t>(receiver)],
-                          sender),
-          PendingIterator(this, kNoSlot, sender)};
+  return {PendingIterator(this, rcv_head_[static_cast<std::size_t>(receiver)]),
+          PendingIterator(this, kNoSlot)};
 }
 
 MessageBuffer::Range<MessageBuffer::WindowIterator>
@@ -611,14 +531,6 @@ MessageBuffer::Range<MessageBuffer::WindowIterator> MessageBuffer::all_pending()
 std::vector<MsgId> MessageBuffer::pending_to_ids(ProcId receiver) const {
   std::vector<MsgId> out;
   for (const Envelope& e : pending_to(receiver)) out.push_back(e.id);
-  return out;
-}
-
-std::vector<MsgId> MessageBuffer::pending_from_to_ids(ProcId sender,
-                                                      ProcId receiver) const {
-  std::vector<MsgId> out;
-  for (const Envelope& e : pending_from_to(sender, receiver))
-    out.push_back(e.id);
   return out;
 }
 

@@ -19,23 +19,22 @@
 //     lockstep arrays. The per-receiver delivery walk and the plan
 //     validation scan touch one metadata cache line per four messages
 //     instead of a full Envelope each.
-//   * Ids resolve to slots in two tiers. Ids at or above `direct_base_`
-//     — in the window regime, every id of the current window — resolve
-//     through a dense direct-index array (one bounds-checked load, no
-//     hashing). Older ids ("stragglers": async-regime messages that
-//     outlive many window advances) live in an open-addressing table
-//     (linear probing with backward-shift deletion). The window-edge sweep
-//     retires the whole direct range in O(1) — see drop_pending_in_window —
-//     so the acceptable-window hot path performs NO per-message hash
-//     erases at all; the incremental erase path survives only for spilled
-//     stragglers.
+//   * Ids resolve to slots through ONE dense direct-index array: every id
+//     in [direct_base_, next_id_) has an entry (one bounds-checked load, no
+//     hashing), and a recycled slot's stale entry is disarmed by the slot's
+//     metadata id. Ids below direct_base_ are all retired. The window-edge
+//     sweep retires the whole range in O(1) once nothing is pending — see
+//     drop_pending_in_window — so a window run keeps the index one window
+//     long; a run whose buffer never drains (messages to a crashed
+//     receiver in the async regime) grows it by 4 bytes per id sent.
 //   * Slots are threaded onto two intrusive doubly-linked lists — one per
 //     receiver and one per send-window — kept in ascending-id (send) order.
-//     pending_to / pending_from_to / pending_in_window / all_pending iterate
-//     those lists in O(result), and drop_pending_in_window retires exactly
-//     the window's own leftovers. Each window list additionally records its
-//     member id range ([first_id, last_id], plus a contiguity flag), which
-//     the bulk delivery run uses as a branch-free window test.
+//     pending_to / pending_in_window / all_pending iterate those lists in
+//     O(result), and drop_pending_in_window retires exactly the window's
+//     own leftovers. Publication only ever goes into the newest window, so
+//     each window's ids form one unbroken run; its list records that range
+//     ([first_id, last_id]), which the bulk delivery run uses as a
+//     branch-free window test.
 //
 // Because slots recycle, envelope lookups are only valid for PENDING ids:
 // querying a retired id throws (std::logic_error), and is_pending(id) is the
@@ -49,13 +48,12 @@
 // the slot is reused — so there is exactly ONE invalidation point: the
 // next publication (a single add() OR any add_batch()), which may reuse a
 // freed slot or grow the envelope array. Neither the window sweep nor
-// range retirement (rewinding the direct index — the O(1) window-edge id
-// retirement, or an explicit spill_direct_index()) touches envelope
-// storage. Within one acceptable window the engine publishes first and
-// delivers after, so views collected during the delivery phase stay valid
-// through the protocol call that consumes them; holders that outlive a
-// publication (anything keeping a view across sending steps) must copy the
-// envelope out.
+// range retirement (the O(1) window-edge rewind of the direct index)
+// touches envelope storage. Within one acceptable window the engine
+// publishes first and delivers after, so views collected during the
+// delivery phase stay valid through the protocol call that consumes them;
+// holders that outlive a publication (anything keeping a view across
+// sending steps) must copy the envelope out.
 #pragma once
 
 #include <cstddef>
@@ -71,126 +69,6 @@ class WindowTrace;
 
 namespace aa::sim {
 
-namespace detail {
-
-/// Open-addressing MsgId → slot-index map (linear probing, power-of-two
-/// capacity, backward-shift deletion — no tombstones, so steady-state
-/// insert/erase churn never degrades or reallocates). Holds only the
-/// SPILLED tier of ids (below MessageBuffer's direct-index base); the
-/// window-regime hot path never touches it.
-class MsgIdMap {
- public:
-  static constexpr std::uint32_t kAbsent = 0xffffffffu;
-
-  MsgIdMap() = default;
-
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-
-  [[nodiscard]] std::uint32_t find(MsgId key) const noexcept {
-    if (cells_.empty()) return kAbsent;
-    std::size_t i = home(key);
-    while (cells_[i].key != kNoMsg) {
-      if (cells_[i].key == key) return cells_[i].value;
-      i = (i + 1) & mask_;
-    }
-    return kAbsent;
-  }
-
-  void insert(MsgId key, std::uint32_t value) {
-    if ((size_ + 1) * 4 >= cells_.size() * 3) grow();
-    insert_no_grow(key, value);
-  }
-
-  /// Empty the map, keeping its capacity (trial-reuse path).
-  void clear() noexcept {
-    for (Cell& c : cells_) c = Cell{};
-    size_ = 0;
-  }
-
-  /// Grow once so that `extra` further insert_no_grow calls stay under the
-  /// load factor — the bulk-insert half of spill_direct_index.
-  void reserve_extra(std::size_t extra) {
-    while ((size_ + extra + 1) * 4 >= cells_.size() * 3) grow();
-  }
-
-  /// Precondition: capacity ensured via reserve_extra (or insert's check).
-  void insert_no_grow(MsgId key, std::uint32_t value) noexcept {
-    std::size_t i = home(key);
-    while (cells_[i].key != kNoMsg) i = (i + 1) & mask_;
-    cells_[i] = Cell{key, value};
-    ++size_;
-  }
-
-  /// Visit every (key, slot) entry, in table order. Audit-only: the table
-  /// has no other iteration surface, and table order is not meaningful.
-  template <typename F>
-  void for_each(F&& f) const {
-    for (const Cell& c : cells_) {
-      if (c.key != kNoMsg) f(c.key, c.value);
-    }
-  }
-
-  /// Precondition: key present. Outside MessageBuffer's own implementation
-  /// this is never the right call — the window-edge range retirement is the
-  /// sanctioned bulk-retire path (enforced by aa_lint's idmap-erase rule).
-  void erase(MsgId key) noexcept {
-    std::size_t i = home(key);
-    while (cells_[i].key != key) i = (i + 1) & mask_;
-    // Backward-shift deletion: close the probe chain over the vacated cell.
-    std::size_t j = i;
-    while (true) {
-      j = (j + 1) & mask_;
-      if (cells_[j].key == kNoMsg) break;
-      const std::size_t h = home(cells_[j].key);
-      if (((j - h) & mask_) >= ((j - i) & mask_)) {
-        cells_[i] = cells_[j];
-        i = j;
-      }
-    }
-    cells_[i].key = kNoMsg;
-    --size_;
-  }
-
- private:
-  struct Cell {
-    MsgId key = kNoMsg;
-    std::uint32_t value = 0;
-  };
-
-  // Fibonacci (multiplicative) hashing. Identity hashing looks ideal for
-  // monotonically assigned keys, but it packs a window's live ids into ONE
-  // contiguous probe run — and backward-shift deletion of ascending ids
-  // then rescans the whole remaining run per erase, an O(live²) pathology
-  // per window. Mixing the key keeps probe runs O(1) for every access
-  // pattern, erase included.
-  [[nodiscard]] std::size_t home(MsgId key) const noexcept {
-    return static_cast<std::size_t>(
-               (static_cast<std::uint64_t>(key) * 0x9E3779B97F4A7C15ull) >>
-               shift_) &
-           mask_;
-  }
-
-  void grow() {
-    const std::size_t cap = cells_.empty() ? 64 : cells_.size() * 2;
-    std::vector<Cell> old = std::move(cells_);
-    cells_.assign(cap, Cell{});
-    mask_ = cap - 1;
-    shift_ = 64;
-    for (std::size_t c = cap; c > 1; c /= 2) --shift_;
-    size_ = 0;
-    for (const Cell& c : old) {
-      if (c.key != kNoMsg) insert(c.key, c.value);
-    }
-  }
-
-  std::vector<Cell> cells_;
-  std::size_t mask_ = 0;
-  unsigned shift_ = 64;
-  std::size_t size_ = 0;
-};
-
-}  // namespace detail
-
 /// Test-only backdoor used by the auditor self-test to plant corruptions
 /// (defined in tests/sim/test_audit.cpp; never part of the library).
 struct AuditTestAccess;
@@ -200,8 +78,8 @@ class MessageBuffer {
   explicit MessageBuffer(int n);
 
   /// Restore the freshly-constructed state for `n` processors while
-  /// KEEPING every capacity the previous run grew (slot arena, id-map
-  /// table, direct index, receiver lists, window ring) — the campaign
+  /// KEEPING every capacity the previous run grew (slot arena, direct
+  /// index, receiver lists, window ring) — the campaign
   /// trial-reuse path: after the first trial warms a worker's buffer up,
   /// later same-shape trials allocate nothing. Observable behaviour is
   /// identical to a fresh MessageBuffer(n): ids restart at 0 and every
@@ -217,7 +95,9 @@ class MessageBuffer {
   /// starting at the returned value, receiver lists stay ascending-id, and
   /// every iteration order is unchanged. One pass allocates the slot run,
   /// splices the whole run onto the window list in a single attach, and
-  /// extends the dense direct index (no hash inserts at all).
+  /// extends the dense direct index. `window` must be the newest window
+  /// published into so far or a later one (std::invalid_argument
+  /// otherwise), which keeps every window's ids one unbroken range.
   /// Returns the first id of the run (== total_sent() before the call,
   /// also for an empty run).
   MsgId add_batch(ProcId sender, std::span<const StagedMessage> items,
@@ -240,11 +120,10 @@ class MessageBuffer {
   /// every message sent in window `w` whose sender is selected: all of
   /// them when `sender_stamp` is null, else exactly those with
   /// sender_stamp[sender] == epoch. The window test is the window list's
-  /// recorded id range when its ids are contiguous (one metadata compare,
-  /// no envelope touch), the envelope's window field otherwise. Each
+  /// recorded id range (one metadata compare, no envelope touch). Each
   /// delivered slot is retired on the spot, exactly as mark_delivered
-  /// retires one, without any hash work for directly indexed ids;
-  /// unselected messages stay pending, relinked in the same pass. Appends
+  /// retires one; unselected messages stay pending, relinked in the same
+  /// pass. Appends
   /// one envelope view per delivery to `out` (valid until the next
   /// publication) and returns the number delivered.
   int deliver_window_run_to(ProcId receiver, std::int64_t w,
@@ -261,17 +140,8 @@ class MessageBuffer {
   /// Range retirement: when the sweep leaves NO pending message anywhere
   /// (the steady state of the acceptable-window regime, where every window
   /// ends empty), the whole direct index [direct_base_, next_id_) is
-  /// retired in O(1) — direct_base_ jumps to next_id_ — replacing the
-  /// per-id backward-shift hash erases the sweep used to pay for.
+  /// retired in O(1): direct_base_ jumps to next_id_.
   std::size_t drop_pending_in_window(std::int64_t w);
-
-  /// Migrate every live directly-indexed id into the straggler hash map and
-  /// rewind the direct index to start at the current id watermark. Purely
-  /// an id→slot bookkeeping move: no envelope storage is touched, no view
-  /// is invalidated, and every query answers identically. Called by
-  /// add_batch when the direct index outgrows its size bound (the async
-  /// regime, where no window sweep ever rewinds the index).
-  void spill_direct_index();
 
   /// Install (or clear, with nullptr) the accountability lens: every drop
   /// of a still-PENDING message — mark_dropped or the end-of-window sweep —
@@ -290,9 +160,8 @@ class MessageBuffer {
 
   class PendingIterator {
    public:
-    PendingIterator(const MessageBuffer* buf, std::int32_t slot, ProcId sender)
-        : buf_(buf), cur_(slot), sender_(sender) {
-      skip_non_matching();
+    PendingIterator(const MessageBuffer* buf, std::int32_t slot)
+        : buf_(buf), cur_(slot) {
       prefetch();
     }
     const Envelope& operator*() const;
@@ -305,13 +174,11 @@ class MessageBuffer {
     bool operator==(const PendingIterator& o) const { return cur_ == o.cur_; }
 
    private:
-    void skip_non_matching();
     void prefetch();
 
     const MessageBuffer* buf_;
     std::int32_t cur_;
     std::int32_t next_ = -1;
-    ProcId sender_;  ///< -1: no sender filter
   };
 
   class WindowIterator {
@@ -359,10 +226,6 @@ class MessageBuffer {
   /// All pending messages addressed to `receiver` (send order).
   [[nodiscard]] Range<PendingIterator> pending_to(ProcId receiver) const;
 
-  /// Pending messages to `receiver` from `sender` (send order).
-  [[nodiscard]] Range<PendingIterator> pending_from_to(ProcId sender,
-                                                       ProcId receiver) const;
-
   /// All pending messages sent during window `w` (send order).
   [[nodiscard]] Range<WindowIterator> pending_in_window(std::int64_t w) const;
 
@@ -372,8 +235,6 @@ class MessageBuffer {
   // ---- allocating conveniences (diagnostics / tests) ---------------------
 
   [[nodiscard]] std::vector<MsgId> pending_to_ids(ProcId receiver) const;
-  [[nodiscard]] std::vector<MsgId> pending_from_to_ids(ProcId sender,
-                                                       ProcId receiver) const;
   [[nodiscard]] std::vector<MsgId> pending_in_window_ids(std::int64_t w) const;
   [[nodiscard]] std::vector<MsgId> all_pending_ids() const;
 
@@ -403,10 +264,9 @@ class MessageBuffer {
 
   /// Opt-in invariant auditor: verify the full arena state — receiver and
   /// window lists (doubly-linked, acyclic, ascending-id, field-consistent,
-  /// ids within the window list's recorded range), two-tier id resolution
-  /// (every pending id at or above the direct base resolves through the
-  /// direct index, every older one through the straggler map, and both
-  /// structures hold nothing else), SoA lockstep (metadata id mirrors the
+  /// ids within the window list's recorded range), id resolution (every
+  /// pending id is at or above the direct base and resolves through the
+  /// direct index to its own slot), SoA lockstep (metadata id mirrors the
   /// envelope id on every live slot), free-list integrity, and that every
   /// slot is in exactly one of {pending, free} with the lifecycle counters
   /// summing to total_sent(). Throws std::logic_error on the first violation.
@@ -441,36 +301,27 @@ class MessageBuffer {
 
   /// One send-window's pending list plus its member id range. The list
   /// holds pending slots only (delivered and dropped ids leave it at once).
-  /// `first_id` / `last_id` bound every id ever linked onto the list; while
-  /// `contiguous` holds (no other window's ids were interleaved between
-  /// this window's batches — always true under the engine's
-  /// one-window-at-a-time publication), membership in [first_id, last_id]
-  /// is EXACT for pending slots, giving deliver_window_run_to a window
-  /// test that never touches the envelope.
+  /// `first_id` / `last_id` bound every id ever linked onto the list. Only
+  /// the newest window takes publications, so no other window's ids fall
+  /// between them: membership in [first_id, last_id] is EXACT for pending
+  /// slots, giving deliver_window_run_to a window test that never touches
+  /// the envelope.
   struct WinList {
     std::int32_t head = -1;
     std::int32_t tail = -1;
     MsgId first_id = kNoMsg;
     MsgId last_id = kNoMsg;
-    bool contiguous = true;
   };
 
-  /// Direct index size bound: past this many entries add_batch spills the
-  /// live ones into the straggler map (async regime, where no window sweep
-  /// ever rewinds the index). 64Ki entries = 256 KiB — far above any
-  /// window-regime working set, far below the horizon of a long async run.
-  static constexpr std::size_t kDirectSpillLimit = std::size_t{1} << 16;
-
-  /// Slot index for a live id; kAbsentSlot when retired. Throws on ids
-  /// never issued. Two-tier: dense direct-index load for ids >=
-  /// direct_base_, straggler hash map below it.
+  /// Slot index for a live id; kNoSlot when retired. Throws on ids never
+  /// issued. Ids below direct_base_ are retired; the rest resolve through
+  /// the direct index.
   [[nodiscard]] std::int32_t slot_of(MsgId id) const;
   /// Unlink from both lists, then release().
   void retire(std::int32_t slot);
-  /// Drop the slot's id from the live index (the straggler map holds it
-  /// when it is below the direct base) and push the slot onto the free
-  /// list. The caller has already unlinked it from the receiver list and,
-  /// outside the window sweep, from its window list.
+  /// Clear the slot's id and push it onto the free list. The caller has
+  /// already unlinked it from the receiver list and, outside the window
+  /// sweep, from its window list.
   void release(std::int32_t slot);
   void unlink_receiver(std::int32_t slot);
   void unlink_window(std::int32_t slot, WinList& wl);
@@ -497,12 +348,10 @@ class MessageBuffer {
   std::vector<Envelope> envs_;
   std::int32_t free_head_ = -1;
 
-  // Two-tier id → slot resolution. direct_slots_[id - direct_base_] is the
-  // slot that id was assigned to, for every id in [direct_base_, next_id_)
+  // Id → slot resolution. direct_slots_[id - direct_base_] is the slot
+  // that id was assigned to, for every id in [direct_base_, next_id_)
   // (stale entries are disarmed by the meta_ id check — a recycled slot
-  // carries a different id). id_map_ holds EXACTLY the pending ids below
-  // direct_base_; ids at or above it are never in the map.
-  detail::MsgIdMap id_map_;
+  // carries a different id). Every id below direct_base_ is retired.
   MsgId next_id_ = 0;
   MsgId direct_base_ = 0;
   std::vector<std::int32_t> direct_slots_;

@@ -81,11 +81,11 @@ class Execution {
   /// fresh per-processor Rng streams forked from `seed`, empty buffer and
   /// zeroed counters — observationally identical to constructing
   /// Execution(procs, seed, cfg) from scratch, but KEEPING every grown
-  /// capacity (message-buffer arena + id map, window scratch, outboxes,
-  /// per-processor vectors). This is the campaign engine's per-worker
-  /// reuse path: one Execution per worker persists across trials and
-  /// across checks, so steady-state trials allocate almost nothing beyond
-  /// the process objects themselves.
+  /// capacity (message-buffer arena + direct id index, window scratch,
+  /// outboxes, per-processor vectors). This is the campaign engine's
+  /// per-worker reuse path: one Execution per worker persists across
+  /// trials and across checks, so steady-state trials allocate almost
+  /// nothing beyond the process objects themselves.
   void reset(std::vector<std::unique_ptr<Process>> procs, std::uint64_t seed,
              ExecutionConfig cfg = {});
 

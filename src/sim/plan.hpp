@@ -5,13 +5,13 @@
 // (sender, receiver) pair index the adversary and the delivery phase
 // consume, replacing the per-window counting-sort rebuild).
 //
-// Id contract with the buffer: a window batch's ids are contiguous and
-// ascending in publication order, so every pair_ids segment is ascending
-// too. MessageBuffer::add_batch assigns that range against its dense
-// direct index (no hash inserts), and drop_pending_in_window retires the
-// whole range in one sweep once the window drains — callers must not
-// cache ids across a window edge (see buffer.hpp's envelope-view
-// invalidation contract).
+// Id contract with the buffer: a window batch's ids form one unbroken
+// ascending run in publication order (MessageBuffer::add_batch publishes
+// only into the newest window), so every pair_ids segment is ascending
+// too. add_batch indexes the run in the buffer's dense direct index, and
+// drop_pending_in_window retires the whole index in O(1) once the window
+// drains — callers must not cache ids across a window edge (see
+// buffer.hpp's envelope-view invalidation contract).
 #pragma once
 
 #include <cstdint>

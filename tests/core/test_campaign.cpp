@@ -164,6 +164,31 @@ CampaignConfig tiny_config() {
   return cfg;
 }
 
+TEST(CampaignConfig, RunCampaignValidatesProgrammaticConfigs) {
+  // Fields set after parsing (command-line overrides, code) get the same
+  // checks as config text before any cell runs.
+  CampaignConfig cfg = tiny_config();
+  cfg.trials = 0;
+  EXPECT_THROW((void)run_campaign(cfg), std::invalid_argument);
+  cfg = tiny_config();
+  cfg.audit_every = -4;
+  EXPECT_THROW((void)run_campaign(cfg), std::invalid_argument);
+  cfg = tiny_config();
+  cfg.censor_target = 8;  // n = 8 has no processor 8
+  EXPECT_THROW((void)run_campaign(cfg), std::invalid_argument);
+  EXPECT_NO_THROW(validate_campaign_config(tiny_config()));
+}
+
+TEST(CampaignConfig, IntegerParseRejectsJunk) {
+  EXPECT_EQ(parse_config_int("42", "--trials"), 42);
+  EXPECT_EQ(parse_config_int("-4", "--audit-every"), -4);
+  for (const char* bad : {"abc", "", "5x", "1e3", "4.0"}) {
+    EXPECT_THROW((void)parse_config_int(bad, "--trials"),
+                 std::invalid_argument)
+        << "'" << bad << "'";
+  }
+}
+
 TEST(Campaign, MemoryKAxisOnlySweepsForgetful) {
   const CampaignConfig cfg = tiny_config();
   const CampaignResult result = run_campaign(cfg);

@@ -142,12 +142,11 @@ TEST(WindowTrace, HookCountsExactUnderRecyclingAndRangeRetirement) {
   EXPECT_EQ(trace.suppressed_total(0), trace.sent(0));
 }
 
-TEST(WindowTrace, SuppressHooksExactAcrossStraddlingRunsAndSpill) {
-  // Buffer-level: batch runs that straddle the recycled free list, a
-  // mid-window spill of the direct id index, and sweeps that retire ids
-  // through BOTH tiers. on_suppress must fire exactly once per undelivered
-  // message — delivered slots are retired at delivery and never reach the
-  // sweep.
+TEST(WindowTrace, SuppressHooksExactAcrossStraddlingRuns) {
+  // Buffer-level: batch runs that straddle the recycled free list, with
+  // deliveries, an explicit drop and sweeps in between. on_suppress must
+  // fire exactly once per undelivered message — delivered slots are
+  // retired at delivery and never reach the sweep.
   const int n = 4;
   WindowTrace trace;
   trace.begin_trial(n);
@@ -167,17 +166,13 @@ TEST(WindowTrace, SuppressHooksExactAcrossStraddlingRunsAndSpill) {
   EXPECT_EQ(buf.drop_pending_in_window(0), 4u);
   EXPECT_EQ(trace.suppressed_total(0), 4);
 
-  // Window 1: a run of 9 straddles the 6 recycled slots + fresh growth;
-  // spill the direct index mid-window so retirement goes through the
-  // straggler map tier.
+  // Window 1: a run of 9 straddles the 6 recycled slots + fresh growth.
   items.clear();
   for (int k = 0; k < 9; ++k) {
     items.push_back({static_cast<sim::ProcId>(k % n), m});
   }
   const sim::MsgId first1 = buf.add_batch(1, items, /*window=*/1, 2);
   EXPECT_EQ(first1, 6);
-  buf.spill_direct_index();
-  // Delivered via the straggler-map tier (the spill moved its id there).
   EXPECT_EQ(buf.mark_delivered(first1).receiver, 0);
   buf.mark_dropped(first1 + 2);                     // explicit suppression
   EXPECT_EQ(buf.drop_pending_in_window(1), 7u);
@@ -185,7 +180,7 @@ TEST(WindowTrace, SuppressHooksExactAcrossStraddlingRunsAndSpill) {
 
   // Sender 0 published 6 in window 0 (2 delivered) and sender 1 published
   // 9 in window 1 (1 delivered): 4 + 8 suppressions, none double-counted
-  // across the recycled slots or the two id tiers.
+  // across the recycled slots.
   EXPECT_EQ(trace.suppressed_total(0), 4);
   EXPECT_EQ(trace.suppressed_total(1), 8);
   std::int64_t suppressed = 0;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
 #include "adversary/window_adversaries.hpp"
@@ -51,25 +52,17 @@ struct NaiveModel {
   };
   std::vector<Entry> all;
 
+  // Ids are issued 0, 1, 2, ... and every id is added, so an id is its
+  // entry's index.
   void add(MsgId id, ProcId s, ProcId r, std::int64_t w) {
+    EXPECT_EQ(static_cast<std::size_t>(id), all.size());
     all.push_back(Entry{id, s, r, w, true});
   }
-  void retire(MsgId id) {
-    for (Entry& e : all) {
-      if (e.id == id) e.pending = false;
-    }
-  }
+  void retire(MsgId id) { all[static_cast<std::size_t>(id)].pending = false; }
   [[nodiscard]] std::vector<MsgId> pending_to(ProcId r) const {
     std::vector<MsgId> out;
     for (const Entry& e : all) {
       if (e.pending && e.receiver == r) out.push_back(e.id);
-    }
-    return out;
-  }
-  [[nodiscard]] std::vector<MsgId> pending_from_to(ProcId s, ProcId r) const {
-    std::vector<MsgId> out;
-    for (const Entry& e : all) {
-      if (e.pending && e.sender == s && e.receiver == r) out.push_back(e.id);
     }
     return out;
   }
@@ -132,9 +125,6 @@ TEST(Arena, IterationOrderMatchesSeedIdOrderUnderChurn) {
     EXPECT_EQ(buf.all_pending_ids(), model.all_pending());
     for (ProcId r = 0; r < n; ++r) {
       EXPECT_EQ(buf.pending_to_ids(r), model.pending_to(r));
-      for (ProcId s = 0; s < n; ++s) {
-        EXPECT_EQ(buf.pending_from_to_ids(s, r), model.pending_from_to(s, r));
-      }
     }
     for (std::int64_t w = window > 8 ? window - 8 : 0; w <= window; ++w) {
       EXPECT_EQ(buf.pending_in_window_ids(w), model.pending_in_window(w));
@@ -142,6 +132,77 @@ TEST(Arena, IterationOrderMatchesSeedIdOrderUnderChurn) {
     EXPECT_EQ(buf.pending_count(), model.all_pending().size());
   }
   EXPECT_GT(buf.total_sent(), 400u);
+}
+
+TEST(Arena, UndrainedWindowIndexesEveryIdDirectly) {
+  // The crashed-receiver case: receiver 3's messages are never delivered,
+  // so the buffer never drains and the window-edge rewind never fires.
+  // Over 70,000 ids published into window 0, every id must still resolve
+  // through the one direct index, with answers equal to the naive model.
+  const int n = 4;
+  const ProcId never = 3;
+  MessageBuffer buf(n);
+  NaiveModel model;
+  Rng rng(2024);
+  Message m;
+  m.kind = 1;
+  std::vector<StagedMessage> items;
+  std::vector<const Envelope*> run;
+
+  const auto check = [&] {
+    for (ProcId r = 0; r < n; ++r) {
+      EXPECT_EQ(buf.pending_to_ids(r), model.pending_to(r)) << "receiver "
+                                                            << r;
+    }
+    for (std::size_t i = 0; i < model.all.size(); i += 37) {
+      const NaiveModel::Entry& e = model.all[i];
+      ASSERT_EQ(buf.is_pending(e.id), e.pending) << "id " << e.id;
+      if (e.pending) {
+        const Envelope& env = buf.get(e.id);
+        EXPECT_EQ(env.sender, e.sender);
+        EXPECT_EQ(env.receiver, e.receiver);
+      } else {
+        EXPECT_THROW((void)buf.get(e.id), std::logic_error);
+      }
+    }
+    EXPECT_EQ(buf.pending_count(), model.all_pending().size());
+    EXPECT_NO_THROW(buf.audit());
+  };
+
+  std::size_t next_check = 10000;
+  while (buf.total_sent() < 70001) {
+    const auto sender = static_cast<ProcId>(rng.uniform_index(n));
+    items.clear();
+    const std::size_t count = 1 + rng.uniform_index(16);
+    for (std::size_t k = 0; k < count; ++k) {
+      items.push_back({static_cast<ProcId>(rng.uniform_index(n)), m});
+    }
+    const MsgId first = buf.add_batch(sender, items, /*window=*/0, 1);
+    for (std::size_t k = 0; k < count; ++k) {
+      model.add(first + static_cast<MsgId>(k), sender, items[k].to, 0);
+    }
+    // Live receivers drain at random moments, so their messages linger.
+    for (ProcId r = 0; r < n; ++r) {
+      if (r == never || rng.uniform_index(2) == 0) continue;
+      run.clear();
+      buf.deliver_window_run_to(r, /*w=*/0, nullptr, 0, run);
+      for (const Envelope* env : run) model.retire(env->id);
+    }
+    if (buf.total_sent() >= next_check) {
+      check();
+      next_check += 10000;
+    }
+  }
+  ASSERT_GT(buf.total_sent(), 70000u);
+  EXPECT_GT(buf.pending_count(), 0u);
+  check();
+
+  // Sweeping window 0 drains the buffer; every id is then retired.
+  EXPECT_EQ(buf.drop_pending_in_window(0), model.all_pending().size());
+  EXPECT_EQ(buf.pending_count(), 0u);
+  EXPECT_NO_THROW(buf.audit());
+  EXPECT_FALSE(buf.is_pending(0));
+  EXPECT_FALSE(buf.is_pending(static_cast<MsgId>(buf.total_sent() - 1)));
 }
 
 TEST(Arena, RecycledSlotsKeepIdsDistinct) {

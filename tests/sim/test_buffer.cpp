@@ -80,15 +80,6 @@ TEST(MessageBuffer, PendingToFiltersByReceiverInSendOrder) {
   EXPECT_EQ(ids[1], c);
 }
 
-TEST(MessageBuffer, PendingFromToFiltersBySender) {
-  MessageBuffer b(3);
-  b.add(0, 2, msg(1, 0), 0, 1);
-  const MsgId c = b.add(1, 2, msg(1, 1), 0, 1);
-  const auto ids = b.pending_from_to_ids(1, 2);
-  ASSERT_EQ(ids.size(), 1u);
-  EXPECT_EQ(ids[0], c);
-}
-
 TEST(MessageBuffer, PendingInWindow) {
   MessageBuffer b(2);
   b.add(0, 1, msg(1, 0), 0, 1);

@@ -76,17 +76,21 @@ int main(int argc, char** argv) {
         }
         return argv[++i];
       };
-      if (arg == "--threads") cfg.threads = std::atoi(next());
-      else if (arg == "--trials") cfg.trials = std::atoi(next());
+      // Numeric values parse as strictly as the config file's.
+      const auto number = [&]() { return core::parse_config_int(next(), arg); };
+      if (arg == "--threads") cfg.threads = static_cast<int>(number());
+      else if (arg == "--trials") cfg.trials = static_cast<int>(number());
       else if (arg == "--seed")
-        cfg.seed = static_cast<std::uint64_t>(std::atoll(next()));
+        cfg.seed = static_cast<std::uint64_t>(number());
       else if (arg == "--output-dir") cfg.output_dir = next();
       else if (arg == "--resume") cfg.resume = true;
-      else if (arg == "--cell-timeout-ms") cfg.cell_timeout_ms = std::atoll(next());
+      else if (arg == "--cell-timeout-ms") cfg.cell_timeout_ms = number();
       else if (arg == "--audit") cfg.audit = true;
-      else if (arg == "--audit-every") cfg.audit_every = std::atoi(next());
+      else if (arg == "--audit-every")
+        cfg.audit_every = static_cast<int>(number());
       else if (arg == "--lens") cfg.lens = true;
-      else if (arg == "--censor-target") cfg.censor_target = std::atoi(next());
+      else if (arg == "--censor-target")
+        cfg.censor_target = static_cast<int>(number());
       else if (arg == "--parallel-cells") cfg.parallel_cells = true;
       else if (arg == "--print-summary") print_summary = true;
       else if (arg == "--print-cells") print_cells = true;
@@ -96,8 +100,10 @@ int main(int argc, char** argv) {
       }
     }
 
-    // run_campaign writes per-cell artifacts (atomically, as cells finish)
-    // and the summary itself when cfg.output_dir is set.
+    // run_campaign validates the overridden config before any cell runs
+    // (an invalid one exits 2 below), writes per-cell artifacts
+    // (atomically, as cells finish) and the summary itself when
+    // cfg.output_dir is set.
     const core::CampaignResult result = core::run_campaign(cfg);
 
     if (print_cells) {
